@@ -6,37 +6,61 @@
 //! processor — what happens to the architecture's coverage and to the
 //! expected reward?
 //!
-//! Each scenario clones the MAMA model with the injected elements
-//! pinned down (see [`fmperf_mama::inject`]), rebuilds the component
-//! space and know table, and runs the budget-guarded degradation
-//! ladder ([`Analysis::analyze_guarded`]), so a campaign over a large
-//! model degrades per scenario instead of wedging.  Scenario analyses
-//! are isolated with [`std::panic::catch_unwind`]: one pathological
-//! what-if model reports its panic message instead of killing the
-//! whole campaign.
+//! An injection pins one element's failure probability to 1 (see
+//! [`fmperf_mama::inject`]).  That changes the availability vector, not
+//! the state→configuration map, so a campaign compiles **one** MTBDD
+//! ([`crate::mtbdd_engine`]) in which every injection point stays a
+//! variable, and answers the baseline and every scenario as one
+//! availability row of it: the baseline's up-probabilities with the
+//! injected elements' set to 0.  The rows go through batched linear
+//! passes a chunk at a time, and each row's post-processing
+//! (distribution, coverage probe, reward) runs under
+//! [`std::panic::catch_unwind`]: one pathological row reports its panic
+//! message instead of killing the whole campaign.  Nothing is rebuilt or
+//! rescanned per scenario.
+//!
+//! Only when that one compile refuses the budget (or panics) does the
+//! campaign fall back to the per-scenario path: each scenario clones the
+//! MAMA model with the injected elements pinned down, rebuilds the
+//! component space and know table, and runs the budget-guarded
+//! degradation ladder ([`Analysis::analyze_guarded`]) under
+//! `catch_unwind`, so a campaign over a large model degrades per
+//! scenario instead of wedging.
 //!
 //! **Coverage** here is the static question: with the injected
 //! elements down and everything else up, how many application
-//! components can still be *known* by some deciding task?  The
-//! difference against the baseline is each scenario's coverage loss,
-//! and the components that slipped out are reported by name.
+//! components can still be *known* by some deciding task?  The know
+//! table is structural (minpaths, no probabilities), so the baseline's
+//! table answers every scenario's probe.  The difference against the
+//! baseline is each scenario's coverage loss, and the components that
+//! slipped out are reported by name.
 
 use crate::analysis::Analysis;
-use crate::budget::{Descent, EngineKind, EstimateInfo, GuardedOptions};
+use crate::budget::{
+    AnalysisReport, BudgetGuard, Descent, EngineKind, EstimateInfo, GuardedOptions,
+};
+use crate::mtbdd_engine::CompiledMtbdd;
 use crate::reward::RewardSpec;
 use fmperf_ftlqn::{Configuration, FaultGraph, KnowPolicy};
-use fmperf_mama::inject::{pairwise_scenarios, single_scenarios};
+use fmperf_mama::inject::{injection_points, pairwise_scenarios, single_scenarios, Scenario};
 use fmperf_mama::{ComponentSpace, KnowTable, MamaModel};
-use fmperf_obs::Recorder;
+use fmperf_obs::{Phase, Recorder, Span};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+/// Scenario rows evaluated per batched pass: a large pairwise campaign
+/// never holds every row at once, and each pass still fills the
+/// evaluator's lanes many times over.
+const ROW_CHUNK: usize = 64;
+
 /// Options for [`run_campaign`].
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignOptions {
-    /// Budget, sampling and threading for each scenario's guarded
-    /// analysis.
+    /// Budget for the campaign's one MTBDD compile, and budget, sampling
+    /// and threading for each scenario's guarded analysis should that
+    /// compile be refused.  The threads also split the batched row
+    /// passes.
     pub guarded: GuardedOptions,
     /// Also run every unordered pair of injections.
     pub pairwise: bool,
@@ -65,9 +89,12 @@ impl Default for CampaignOptions {
 pub struct ScenarioAnalysis {
     /// Human-readable injection label (`baseline` for the baseline).
     pub label: String,
-    /// The ladder rung that produced the distribution.
+    /// The engine that produced the distribution: [`EngineKind::Mtbdd`]
+    /// for a row of the campaign's one diagram, otherwise the fallback
+    /// ladder's rung.
     pub engine: EngineKind,
-    /// Ladder descents, in order, with their typed reasons.
+    /// Ladder descents, in order, with their typed reasons (empty for a
+    /// row of the campaign's diagram).
     pub descents: Vec<Descent>,
     /// Monte Carlo provenance iff `engine` is the sampling rung.
     pub estimate: Option<EstimateInfo>,
@@ -112,6 +139,10 @@ pub struct CampaignReport {
     pub baseline: ScenarioAnalysis,
     /// Every injection scenario, singles first, then pairs.
     pub scenarios: Vec<ScenarioOutcome>,
+    /// Wall-clock time of the campaign's one MTBDD compile, successful
+    /// or refused.  Everything else the campaign spent (the row passes,
+    /// or the fallback's per-scenario analyses) is evaluation.
+    pub compile_time: Duration,
 }
 
 impl CampaignReport {
@@ -135,11 +166,12 @@ impl CampaignReport {
 /// single-injection scenario, and (with
 /// [`pairwise`](CampaignOptions::pairwise)) every unordered pair.
 ///
-/// Never fails as a whole: each scenario runs the guarded degradation
-/// ladder under [`catch_unwind`], so the worst a scenario can do is
-/// report an error string.  Reward deltas are computed when `reward`
-/// is given, against an LQN-solution cache shared across scenarios
-/// (distinct configurations recur heavily between scenarios).
+/// Never fails as a whole: each row's post-processing (and, on the
+/// fallback path, each scenario's guarded ladder) runs under
+/// [`catch_unwind`], so the worst a scenario can do is report an error
+/// string.  Reward deltas are computed when `reward` is given, against
+/// an LQN-solution cache shared across scenarios (distinct
+/// configurations recur heavily between scenarios).
 pub fn run_campaign(
     graph: &FaultGraph<'_>,
     mama: &MamaModel,
@@ -159,17 +191,19 @@ pub struct ScenarioProgress<'a> {
     pub total: usize,
     /// The scenario's injection label (`baseline` for the baseline).
     pub label: &'a str,
-    /// The ladder rung that produced the result, or `None` when the
+    /// The engine that produced the result, or `None` when the
     /// scenario's analysis panicked or failed.
     pub engine: Option<EngineKind>,
-    /// Wall-clock time the scenario's analysis took.
+    /// Wall-clock time the scenario took.  For a row of the campaign's
+    /// diagram that is its share of the batched pass plus its own
+    /// post-processing; the baseline's includes the compile.
     pub elapsed: Duration,
 }
 
 /// [`run_campaign`] with observability hooks: an optional [`Recorder`]
-/// threaded into every scenario's analysis, and an optional progress
-/// callback invoked after each scenario completes (the baseline first,
-/// with index 0).
+/// threaded into the compile, the row passes and every fallback
+/// analysis, and an optional progress callback invoked after each
+/// scenario completes (the baseline first, with index 0).
 pub fn run_campaign_observed(
     graph: &FaultGraph<'_>,
     mama: &MamaModel,
@@ -178,135 +212,306 @@ pub fn run_campaign_observed(
     recorder: Option<&dyn Recorder>,
     progress: Option<&dyn Fn(&ScenarioProgress<'_>)>,
 ) -> CampaignReport {
-    let mut reward_cache: BTreeMap<Configuration, f64> = BTreeMap::new();
     let mut scenarios = single_scenarios(mama);
     if opts.pairwise {
         scenarios.extend(pairwise_scenarios(mama));
     }
-    let total = scenarios.len();
-
-    let start = Instant::now();
-    let baseline = analyze_model(
+    let mut campaign = Campaign {
         graph,
         mama,
-        "baseline",
-        None,
         reward,
         opts,
         recorder,
-        &mut reward_cache,
-    )
-    .unwrap_or_else(|e| panic!("invariant: the uninjected baseline model analyses cleanly — {e}"));
-    if let Some(report) = progress {
-        report(&ScenarioProgress {
-            index: 0,
-            total,
-            label: "baseline",
-            engine: Some(baseline.engine),
-            elapsed: start.elapsed(),
-        });
-    }
+        progress,
+        total: scenarios.len(),
+        reward_cache: BTreeMap::new(),
+    };
+    let space = ComponentSpace::build(graph.model(), mama);
+    let table = KnowTable::build(graph, mama, &space);
 
-    let outcomes = scenarios
-        .into_iter()
-        .enumerate()
-        .map(|(i, scenario)| {
-            let label = scenario.label(mama);
-            let start = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let injected = scenario.apply(mama);
-                analyze_model(
-                    graph,
-                    &injected,
-                    &label,
-                    Some(&baseline),
-                    reward,
-                    opts,
-                    recorder,
-                    &mut reward_cache,
-                )
-            }));
-            let result = match result {
-                Ok(r) => r,
-                Err(panic) => Err(panic_message(panic)),
-            };
-            if let Some(report) = progress {
-                report(&ScenarioProgress {
-                    index: i + 1,
-                    total,
-                    label: &label,
-                    engine: result.as_ref().ok().map(|s| s.engine),
-                    elapsed: start.elapsed(),
-                });
-            }
-            ScenarioOutcome {
-                label: label.clone(),
-                result,
-            }
-        })
-        .collect();
-
+    let start = Instant::now();
+    let compiled = campaign.compile(&table);
+    let compile_time = start.elapsed();
+    let batched = compiled.and_then(|c| campaign.rows(&c, &space, &table, &scenarios, start));
+    let (baseline, scenarios) = match batched {
+        Some(done) => done,
+        None => campaign.ladder(&scenarios),
+    };
     CampaignReport {
         baseline,
-        scenarios: outcomes,
+        scenarios,
+        compile_time,
     }
 }
 
-/// Analyses one (possibly injected) model: guarded ladder, static
-/// coverage probe, optional reward fold.
-#[allow(clippy::too_many_arguments)]
-fn analyze_model(
-    graph: &FaultGraph<'_>,
-    mama: &MamaModel,
-    label: &str,
-    baseline: Option<&ScenarioAnalysis>,
-    reward: Option<&RewardSpec>,
-    opts: &CampaignOptions,
-    recorder: Option<&dyn Recorder>,
-    reward_cache: &mut BTreeMap<Configuration, f64>,
-) -> Result<ScenarioAnalysis, String> {
-    let space = ComponentSpace::build(graph.model(), mama);
-    let table = KnowTable::build(graph, mama, &space);
-    let mut analysis = Analysis::new(graph, &space)
-        .with_knowledge(&table)
-        .with_policy(opts.policy)
-        .with_unmonitored_known(opts.unmonitored_known);
-    if let Some(r) = recorder {
-        analysis = analysis.with_recorder(r);
+/// What every scenario of one campaign shares: the inputs, the progress
+/// hook and the campaign-wide LQN reward cache.
+struct Campaign<'c, 'g> {
+    graph: &'c FaultGraph<'g>,
+    mama: &'c MamaModel,
+    reward: Option<&'c RewardSpec>,
+    opts: &'c CampaignOptions,
+    recorder: Option<&'c dyn Recorder>,
+    progress: Option<&'c dyn Fn(&ScenarioProgress<'_>)>,
+    total: usize,
+    reward_cache: BTreeMap<Configuration, f64>,
+}
+
+impl Campaign<'_, '_> {
+    /// The configured study over one space (the baseline's, an injected
+    /// model's, or the every-point-down compile space).
+    fn analysis<'s>(&'s self, space: &'s ComponentSpace, table: &'s KnowTable) -> Analysis<'s> {
+        let analysis = Analysis::new(self.graph, space)
+            .with_knowledge(table)
+            .with_policy(self.opts.policy)
+            .with_unmonitored_known(self.opts.unmonitored_known);
+        match self.recorder {
+            Some(r) => analysis.with_recorder(r),
+            None => analysis,
+        }
     }
-    let report = analysis.analyze_guarded(&opts.guarded);
 
-    let covered = covered_components(graph, &space, &table);
-    let newly_uncovered: Vec<String> = match baseline {
-        Some(base) => base.covered.difference(&covered).cloned().collect(),
-        None => Vec::new(),
-    };
+    /// The campaign's one diagram, compiled against the model with every
+    /// injection applied.  There every injection point has up-probability
+    /// 0, so the compile, which elides only up-probability-1 elements,
+    /// keeps each one as a variable, perfect connectors included.  That
+    /// model's own availability vector (every point down) never leaves
+    /// this module: every row supplies its own.  `None` when the compile
+    /// refuses the budget or panics.
+    fn compile(&self, table: &KnowTable) -> Option<CompiledMtbdd> {
+        let every_point = Scenario {
+            injections: injection_points(self.mama),
+        };
+        let space = ComponentSpace::build(self.graph.model(), &every_point.apply(self.mama));
+        let guard = BudgetGuard::new(&self.opts.guarded.budget);
+        catch_unwind(AssertUnwindSafe(|| {
+            self.analysis(&space, table)
+                .try_compile_mtbdd_guarded(&guard)
+                .ok()
+        }))
+        .ok()
+        .flatten()
+    }
 
-    let reward_value = match reward {
-        Some(spec) => Some(expected_reward_cached(
-            graph,
-            &report.distribution,
-            spec,
-            reward_cache,
-        )?),
-        None => None,
-    };
-    let reward_delta = match (reward_value, baseline.and_then(|b| b.reward)) {
-        (Some(r), Some(b)) => Some(r - b),
-        _ => None,
-    };
+    /// Answers the baseline and every scenario as rows of `compiled`.
+    /// `None` when the baseline row itself fails; the campaign then
+    /// falls back to the ladder.
+    fn rows(
+        &mut self,
+        compiled: &CompiledMtbdd,
+        space: &ComponentSpace,
+        table: &KnowTable,
+        scenarios: &[Scenario],
+        start: Instant,
+    ) -> Option<(ScenarioAnalysis, Vec<ScenarioOutcome>)> {
+        let base_up: Vec<f64> = (0..space.len()).map(|ix| space.up_prob(ix)).collect();
+        let base_probe = down_probe(space);
+        let base_probs = self
+            .eval_rows(compiled, std::slice::from_ref(&base_up))
+            .ok()?
+            .pop()?;
+        let baseline = catch_unwind(AssertUnwindSafe(|| {
+            self.row("baseline", compiled, &base_probs, &base_probe, table, None)
+        }))
+        .ok()?
+        .ok()?;
+        self.report(0, "baseline", Some(baseline.engine), start.elapsed());
 
-    Ok(ScenarioAnalysis {
-        label: label.to_string(),
-        engine: report.engine,
-        descents: report.descents,
-        estimate: report.estimate,
-        failed_probability: report.distribution.failed_probability(),
-        covered,
-        newly_uncovered,
-        reward: reward_value,
-        reward_delta,
-    })
+        let mut outcomes = Vec::with_capacity(scenarios.len());
+        for chunk in scenarios.chunks(ROW_CHUNK) {
+            let pass_start = Instant::now();
+            let downs: Vec<Vec<usize>> = chunk
+                .iter()
+                .map(|s| s.injections.iter().map(|i| i.target_index(space)).collect())
+                .collect();
+            let rows: Vec<Vec<f64>> = downs
+                .iter()
+                .map(|down| {
+                    let mut up = base_up.clone();
+                    for &ix in down {
+                        up[ix] = 0.0;
+                    }
+                    up
+                })
+                .collect();
+            let probs = self.eval_rows(compiled, &rows);
+            let pass_share = pass_start.elapsed() / chunk.len() as u32;
+            for (i, (scenario, down)) in chunk.iter().zip(&downs).enumerate() {
+                let label = scenario.label(self.mama);
+                let row_start = Instant::now();
+                let result = match &probs {
+                    Ok(probs) => {
+                        let mut probe = base_probe.clone();
+                        for &ix in down {
+                            probe[ix] = false;
+                        }
+                        catch_unwind(AssertUnwindSafe(|| {
+                            self.row(&label, compiled, &probs[i], &probe, table, Some(&baseline))
+                        }))
+                        .unwrap_or_else(|panic| Err(panic_message(panic)))
+                    }
+                    Err(e) => Err(e.clone()),
+                };
+                let elapsed = pass_share + row_start.elapsed();
+                self.report(outcomes.len() + 1, &label, engine_of(&result), elapsed);
+                outcomes.push(ScenarioOutcome { label, result });
+            }
+        }
+        Some((baseline, outcomes))
+    }
+
+    /// One batched pass over `rows`; a failure (or panic) becomes the
+    /// error every row of the pass reports.
+    fn eval_rows(
+        &self,
+        compiled: &CompiledMtbdd,
+        rows: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, String> {
+        let _span = Span::enter(self.recorder, Phase::MtbddEval);
+        let threads = self.opts.guarded.threads.max(1);
+        match catch_unwind(AssertUnwindSafe(|| {
+            compiled.try_batch_probabilities(rows, threads)
+        })) {
+            Ok(Ok(probs)) => Ok(probs),
+            Ok(Err(e)) => Err(format!("batched evaluation failed: {e}")),
+            Err(panic) => Err(panic_message(panic)),
+        }
+    }
+
+    /// One row's analysis: the row's probabilities clamped into a
+    /// distribution, then the coverage probe and the reward fold.
+    fn row(
+        &mut self,
+        label: &str,
+        compiled: &CompiledMtbdd,
+        probs: &[f64],
+        probe: &[bool],
+        table: &KnowTable,
+        baseline: Option<&ScenarioAnalysis>,
+    ) -> Result<ScenarioAnalysis, String> {
+        let clamped: Vec<f64> = probs.iter().map(|&p| unit_clamp(p)).collect();
+        let report = AnalysisReport {
+            distribution: compiled.to_distribution(&clamped),
+            engine: EngineKind::Mtbdd,
+            descents: Vec::new(),
+            estimate: None,
+        };
+        let covered = covered_in(self.graph, table, probe);
+        self.finish(label, report, covered, baseline)
+    }
+
+    /// The fallback when the one compile is refused: the baseline and
+    /// then each scenario, hand-mutated and run through the guarded
+    /// ladder.
+    fn ladder(&mut self, scenarios: &[Scenario]) -> (ScenarioAnalysis, Vec<ScenarioOutcome>) {
+        let start = Instant::now();
+        let baseline = self
+            .analyze_model(self.mama, "baseline", None)
+            .unwrap_or_else(|e| {
+                panic!("invariant: the uninjected baseline model analyses cleanly — {e}")
+            });
+        self.report(0, "baseline", Some(baseline.engine), start.elapsed());
+
+        let mut outcomes = Vec::with_capacity(scenarios.len());
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let label = scenario.label(self.mama);
+            let start = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let injected = scenario.apply(self.mama);
+                self.analyze_model(&injected, &label, Some(&baseline))
+            }))
+            .unwrap_or_else(|panic| Err(panic_message(panic)));
+            self.report(i + 1, &label, engine_of(&result), start.elapsed());
+            outcomes.push(ScenarioOutcome { label, result });
+        }
+        (baseline, outcomes)
+    }
+
+    /// Analyses one (possibly injected) model on the fallback path:
+    /// guarded ladder, static coverage probe, optional reward fold.
+    fn analyze_model(
+        &mut self,
+        mama: &MamaModel,
+        label: &str,
+        baseline: Option<&ScenarioAnalysis>,
+    ) -> Result<ScenarioAnalysis, String> {
+        let space = ComponentSpace::build(self.graph.model(), mama);
+        let table = KnowTable::build(self.graph, mama, &space);
+        let report = self
+            .analysis(&space, &table)
+            .analyze_guarded(&self.opts.guarded);
+        let covered = covered_components(self.graph, &space, &table);
+        self.finish(label, report, covered, baseline)
+    }
+
+    /// Folds one analysed distribution into a [`ScenarioAnalysis`]:
+    /// coverage loss against the baseline and the optional reward.
+    fn finish(
+        &mut self,
+        label: &str,
+        report: AnalysisReport,
+        covered: BTreeSet<String>,
+        baseline: Option<&ScenarioAnalysis>,
+    ) -> Result<ScenarioAnalysis, String> {
+        let newly_uncovered: Vec<String> = match baseline {
+            Some(base) => base.covered.difference(&covered).cloned().collect(),
+            None => Vec::new(),
+        };
+        let reward_value = match self.reward {
+            Some(spec) => Some(expected_reward_cached(
+                self.graph,
+                &report.distribution,
+                spec,
+                &mut self.reward_cache,
+            )?),
+            None => None,
+        };
+        let reward_delta = match (reward_value, baseline.and_then(|b| b.reward)) {
+            (Some(r), Some(b)) => Some(r - b),
+            _ => None,
+        };
+        Ok(ScenarioAnalysis {
+            label: label.to_string(),
+            engine: report.engine,
+            descents: report.descents,
+            estimate: report.estimate,
+            failed_probability: report.distribution.failed_probability(),
+            covered,
+            newly_uncovered,
+            reward: reward_value,
+            reward_delta,
+        })
+    }
+
+    /// Hands one finished scenario to the progress callback, if any.
+    fn report(&self, index: usize, label: &str, engine: Option<EngineKind>, elapsed: Duration) {
+        if let Some(progress) = self.progress {
+            progress(&ScenarioProgress {
+                index,
+                total: self.total,
+                label,
+                engine,
+                elapsed,
+            });
+        }
+    }
+}
+
+/// The engine of a finished scenario, `None` for a failed one.
+fn engine_of(result: &Result<ScenarioAnalysis, String>) -> Option<EngineKind> {
+    result.as_ref().ok().map(|s| s.engine)
+}
+
+/// Clamps one row probability into `[0, 1]`.  A row on which the system
+/// always fails can land a few ulps above 1 (6.7e-16 has been seen), as
+/// the pass sums its reach masses; anything beyond rounding would be a
+/// defect in the diagram.
+fn unit_clamp(p: f64) -> f64 {
+    debug_assert!(
+        (-1e-12..=1.0 + 1e-12).contains(&p),
+        "row probability {p} strays from [0, 1] by more than rounding"
+    );
+    p.clamp(0.0, 1.0)
 }
 
 /// The static coverage probe: with every deterministically-down
@@ -314,22 +519,29 @@ fn analyze_model(
 /// everything else up, which application components can some deciding
 /// task still learn about?
 ///
-/// Shared by the campaign (per-scenario coverage loss) and by the
-/// structural audit's differential replay (see [`crate::audit`]).
+/// Shared by the campaign's fallback path and by the structural audit's
+/// differential replay (see [`crate::audit`]).
 pub fn covered_components(
     graph: &FaultGraph<'_>,
     space: &ComponentSpace,
     table: &KnowTable,
 ) -> BTreeSet<String> {
-    let mut probe = space.all_up();
-    for (ix, up) in probe.iter_mut().enumerate() {
-        if space.up_prob(ix) == 0.0 {
-            *up = false;
-        }
-    }
+    covered_in(graph, table, &down_probe(space))
+}
+
+/// The all-up state with every up-probability-0 element down.
+fn down_probe(space: &ComponentSpace) -> Vec<bool> {
+    (0..space.len())
+        .map(|ix| space.up_prob(ix) != 0.0)
+        .collect()
+}
+
+/// The application components some deciding task knows about in the
+/// state `probe`.
+fn covered_in(graph: &FaultGraph<'_>, table: &KnowTable, probe: &[bool]) -> BTreeSet<String> {
     let mut covered = BTreeSet::new();
     for (&(component, _decider), know) in table.iter() {
-        if know.holds(&probe) {
+        if know.holds(probe) {
             covered.insert(graph.model().component_name(component).to_string());
         }
     }
@@ -394,9 +606,9 @@ mod tests {
         let expected = 6 + mama.connector_count();
         assert_eq!(report.scenarios.len(), expected);
         assert_eq!(report.failures().count(), 0);
-        // 2^14 (and the +1-bit injected variants) fit the default
-        // budget: every scenario stays exact.
-        assert_eq!(report.baseline.engine, EngineKind::Exact);
+        // The one compile fits the default budget: the baseline and
+        // every scenario are rows of its diagram, exact and undegraded.
+        assert_eq!(report.baseline.engine, EngineKind::Mtbdd);
         for s in report.analysed() {
             assert!(s.engine.is_exact(), "{} degraded unexpectedly", s.label);
             assert!(s.failed_probability >= report.baseline.failed_probability - 1e-12);

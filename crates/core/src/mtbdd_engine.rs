@@ -529,7 +529,7 @@ impl CompiledMtbdd {
         })
     }
 
-    fn to_distribution(&self, sums: &[f64]) -> ConfigDistribution {
+    pub(crate) fn to_distribution(&self, sums: &[f64]) -> ConfigDistribution {
         let mut dist = ConfigDistribution::new();
         for (config, &s) in self.configs.iter().zip(sums) {
             if s != 0.0 {

@@ -20,6 +20,7 @@
 //! becomes deterministically *down*.
 
 use crate::model::{ConnId, MamaCompId, MamaComponentKind, MamaModel, MgmtRole};
+use crate::space::ComponentSpace;
 
 /// One management-plane fault to inject: the targeted element's failure
 /// probability is pinned to 1 in a cloned model.
@@ -108,6 +109,18 @@ impl Injection {
                     ),
                 }
             }
+        }
+    }
+
+    /// The targeted element's global index in `space` (built from the
+    /// model the injection was drawn from): the state bit that
+    /// [`apply_to`](Injection::apply_to) pins down.
+    pub fn target_index(&self, space: &ComponentSpace) -> usize {
+        match *self {
+            Injection::KillManager(id)
+            | Injection::KillAgent(id)
+            | Injection::FailProcessor(id) => space.mama_index(id),
+            Injection::SeverConnector(cid) => space.connector_index(cid),
         }
     }
 
@@ -286,6 +299,14 @@ mod tests {
         injected.validate(&sys.model).unwrap();
         let space = ComponentSpace::build(&sys.model, &injected);
         assert_eq!(space.up_prob(space.mama_index(manager)), 0.0);
+        // The target index names exactly the pinned state bit.
+        let down: Vec<usize> = (0..space.len())
+            .filter(|&ix| space.up_prob(ix) == 0.0)
+            .collect();
+        assert_eq!(
+            down,
+            vec![Injection::KillManager(manager).target_index(&space)]
+        );
         // The baseline is untouched.
         let base_space = ComponentSpace::build(&sys.model, &mama);
         assert!((base_space.up_prob(base_space.mama_index(manager)) - 0.9).abs() < 1e-12);
@@ -300,6 +321,10 @@ mod tests {
         injected.validate(&sys.model).unwrap();
         let space = ComponentSpace::build(&sys.model, &injected);
         assert_eq!(space.up_prob(space.connector_index(cid)), 0.0);
+        assert_eq!(
+            Injection::SeverConnector(cid).target_index(&space),
+            space.connector_index(cid)
+        );
         // A severed perfect channel gains a (deterministic) fallible bit.
         assert!(space
             .fallible_indices()

@@ -100,10 +100,10 @@ pub struct Timings {
     /// Parse + lint-preflight time for the posted model.
     pub parse_ns: u64,
     /// MTBDD compile time (successful or refused; zero on a cache
-    /// hit).
+    /// hit; a campaign's one compile).
     pub compile_ns: u64,
-    /// Evaluation time: diagram pass, ladder descent or campaign run,
-    /// plus configuration ranking and the reward solve.
+    /// Evaluation time: diagram pass, ladder descent or a campaign's
+    /// scenario rows, plus configuration ranking and the reward solve.
     pub eval_ns: u64,
     /// End-to-end request time including the queue wait.
     pub total_ns: u64,

@@ -728,7 +728,7 @@ fn render_metrics(shared: &Shared) -> String {
         &mut out,
         "fmperf_compile_ns",
         "histogram",
-        "MTBDD compile time on cold requests (successful or refused), nanoseconds.",
+        "MTBDD compile time on cold requests and campaigns (successful or refused), nanoseconds.",
     );
     render_prometheus_histogram(
         &mut out,
@@ -1191,6 +1191,7 @@ fn campaign_endpoint(
     };
     rec.engine = Some(outcome.baseline_engine.clone());
     rec.cache = Some(CacheStatus::Bypass.name());
+    rec.timings.compile_ns = outcome.compile_ns;
     rec.timings.eval_ns = outcome.eval_ns;
     rec.timings.total_ns = rec.timings.queue_wait_ns + start.elapsed().as_nanos() as u64;
     let scenarios: Vec<String> = outcome

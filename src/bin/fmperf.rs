@@ -93,9 +93,12 @@ automatically when the model's smallest failure probability is below
 directly (failure-biased proposal, likelihood-ratio reweighting):
 `--is-bias` sets the expected biased failures per draw (default 1.0)
 and `--is-mixture` the defensive nominal-measure weight (default 0.2).
-`campaign` re-analyses the model under every single (and with
+`campaign` analyses the model under every single (and with
 --pairwise, every pairwise) management-plane fault injection and
-reports coverage loss and reward deltas per scenario.
+reports coverage loss and reward deltas per scenario.  It compiles one
+MTBDD with every injection point kept as a variable and answers each
+scenario as one availability row of it; only if that compile refuses
+the budget does each scenario run its own guarded ladder.
 
 `audit` proves minimal cut sets, SPOFs, uncovered components and dead
 management edges from the compiled Boolean structure (up to
@@ -2045,14 +2048,20 @@ mod tests {
         users u on pc population 5 think 1.0\ntask s on p1 fail 0.1\n\
         entry eu of u\nentry es of s demand 0.2\ncall eu -> es\nreward u 1.0\n";
 
-    fn with_model<T>(f: impl FnOnce(&str) -> T) -> T {
-        let dir = std::env::temp_dir().join(format!("fmperf-cli-test-{}", std::process::id()));
+    /// A fresh directory for one test's files.  Tests run in parallel
+    /// threads of one process, so the pid alone would hand every test
+    /// the same directory (and one test's cleanup would delete another's
+    /// fixtures); the counter keys each call apart.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("fmperf-cli-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.fmp");
-        std::fs::write(&path, MODEL).unwrap();
-        let r = f(path.to_str().unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-        r
+        dir
+    }
+
+    fn with_model<T>(f: impl FnOnce(&str) -> T) -> T {
+        with_src("test", MODEL, f)
     }
 
     #[test]
@@ -2300,8 +2309,7 @@ mod tests {
     #[test]
     fn fmt_is_idempotent() {
         let once = with_model(|p| run(&["fmt".into(), p.into()])).unwrap();
-        let dir = std::env::temp_dir().join(format!("fmperf-cli-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("fmt");
         let path = dir.join("m.fmp");
         std::fs::write(&path, &once).unwrap();
         let twice = run(&["fmt".into(), path.to_str().unwrap().into()]).unwrap();
@@ -2319,8 +2327,7 @@ mod tests {
         entry a of u\nentry b of u\n";
 
     fn with_src<T>(tag: &str, src: &str, f: impl FnOnce(&str) -> T) -> T {
-        let dir = std::env::temp_dir().join(format!("fmperf-cli-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir(tag);
         let path = dir.join("m.fmp");
         std::fs::write(&path, src).unwrap();
         let r = f(path.to_str().unwrap());
@@ -2414,9 +2421,14 @@ mod tests {
 
     #[test]
     fn lint_json_flag_is_an_alias_for_format_json() {
-        let a = with_model(|p| run(&["lint".into(), p.into(), "--json".into()])).unwrap();
-        let b = with_model(|p| run(&["lint".into(), p.into(), "--format".into(), "json".into()]))
-            .unwrap();
+        // One fixture for both runs: the report names the file.
+        let (a, b) = with_model(|p| {
+            (
+                run(&["lint".into(), p.into(), "--json".into()]),
+                run(&["lint".into(), p.into(), "--format".into(), "json".into()]),
+            )
+        });
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(a, b);
         assert!(a.contains("\"code\": \"FM201\""), "{a}");
     }
@@ -2562,8 +2574,7 @@ mod tests {
 
     #[test]
     fn metrics_json_and_trace_files_are_written() {
-        let dir = std::env::temp_dir().join(format!("fmperf-cli-obs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("obs");
         let mpath = dir.join("metrics.json");
         let tpath = dir.join("trace.json");
         with_model(|p| {
