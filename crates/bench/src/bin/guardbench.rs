@@ -1,6 +1,6 @@
 //! Measures the budget-guard overhead on the hot enumeration path: the
-//! guarded ladder with a generous default budget must stay on the exact
-//! rung and cost at most a few percent over the raw engine (the
+//! guarded ladder's exact scan rung under a generous default budget must
+//! cost at most a few percent over the raw engine (the
 //! cooperative-cancellation polls every `CHECK_INTERVAL` states are all
 //! it adds).  Overhead above [`MAX_OVERHEAD`] on any case large enough
 //! to time reliably (≥ [`MIN_GATED_STATES`] states) exits 1.
@@ -39,7 +39,7 @@ fn main() {
     let sys = fmperf_bench::paper_system();
 
     println!(
-        "Budget-guard overhead: guarded exact rung vs raw enumeration \
+        "Budget-guard overhead: guarded scan rung vs raw enumeration \
          (noise floor over {} paired reps)",
         fmperf_bench::GUARDED_REPS
     );

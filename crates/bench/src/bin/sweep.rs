@@ -45,7 +45,8 @@ fn main() {
             let table = KnowTable::build(&graph, &mama, &space);
             let dist = Analysis::new(&graph, &space)
                 .with_knowledge(&table)
-                .symbolic();
+                .compile_mtbdd()
+                .distribution();
             let perfs = solve_configurations(&sys.model, &dist.configurations()).expect("solves");
             let r = expected_reward(&dist, &perfs, &spec);
             print!(" {r:>13.3}");

@@ -12,14 +12,14 @@
 //! * `fig11` — Figure 11: expected steady-state reward rate vs the
 //!   weight of UserB, for the four architectures.
 //! * `statespace` — the in-text state-space sizes and solution times,
-//!   for both the paper's enumeration and our symbolic engine.
+//!   for both the paper's enumeration and our MTBDD engine.
 //! * `lanesbench` — lane-parallel kernel cost: the SIMD-width lane scan
 //!   vs the scalar scan of the same compiled kernel, gated on an
 //!   absolute ns/state ceiling and a minimum lane speedup.
 //! * `sweepbench` — availability-sweep cost: compile-once MTBDD
 //!   (compile + points × linear pass) vs repeated exact enumeration.
 //! * `guardbench` — budget-guard overhead: the guarded ladder's exact
-//!   rung vs the raw enumeration engine, gated at 3% on large cases.
+//!   scan rung vs the raw enumeration engine, gated at 3% on large cases.
 //! * `obsbench` — disabled-instrumentation overhead: enumeration with a
 //!   `NullRecorder` attached vs no recorder, gated at 3% on large cases.
 //! * `scalebench` — rare-event scaling: importance sampling over
@@ -639,13 +639,14 @@ pub fn parse_sweep_json(src: &str) -> Option<Vec<SweepRow>> {
     Some(rows)
 }
 
-/// One timed guarded-analysis measurement (budget-guarded ladder vs the
-/// raw enumeration engine) for the machine-readable bench reports.
+/// One timed guarded-analysis measurement (the ladder's budget-guarded
+/// scan rung vs the raw enumeration engine) for the machine-readable
+/// bench reports.
 ///
-/// The point of this schema is the `overhead` column: with a generous
-/// budget the guarded run must stay on the exact rung and pay only the
-/// cooperative cancellation polls, so `guarded_ns / unguarded_ns` is a
-/// direct measure of the budget-check cost on the hot enumeration path.
+/// The point of this schema is the `overhead` column: under a generous
+/// budget the guarded scan pays only the cooperative cancellation polls,
+/// so `guarded_ns / unguarded_ns` is a direct measure of the
+/// budget-check cost on the hot enumeration path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardedRow {
     /// Case name (`perfect`, `centralized`, …).
@@ -672,20 +673,22 @@ pub struct GuardedRow {
 /// How many repetitions [`measure_guarded`] takes the minimum over.
 pub const GUARDED_REPS: usize = 15;
 
-/// Times one case's exact enumeration with and without the budget guard,
-/// best-of-[`GUARDED_REPS`], checking that the guarded ladder stays on
-/// the exact rung and returns a bit-identical distribution.  The two
-/// variants are timed in alternation (after one untimed warmup each) so
-/// interference from a shared runner lands on both sides of the
-/// overhead ratio instead of biasing one phase; see
+/// Times one case's exact enumeration with and without the budget guard
+/// — the ladder's scan rung ([`Analysis::try_enumerate_guarded`]) under
+/// a fresh default-budget [`BudgetGuard`](fmperf_core::BudgetGuard) per
+/// run, as the ladder builds one — best-of-[`GUARDED_REPS`], checking
+/// that the guarded scan fits the budget and returns a bit-identical
+/// distribution.  The two variants are timed in alternation (after one
+/// untimed warmup each) so interference from a shared runner lands on
+/// both sides of the overhead ratio instead of biasing one phase; see
 /// [`GuardedRow::overhead`] for how the ratio is made noise-robust.
 ///
 /// # Panics
 ///
-/// Panics on an unknown case name, if the guarded run degrades off the
-/// exact rung under the default budget, or if the distributions differ.
+/// Panics on an unknown case name, if the guarded scan refuses the
+/// default budget, or if the distributions differ.
 pub fn measure_guarded(sys: &DasWoodsideSystem, case: &str) -> GuardedRow {
-    use fmperf_core::{EngineKind, GuardedOptions};
+    use fmperf_core::{AnalysisBudget, BudgetGuard};
     use std::time::Instant;
     let graph = sys.fault_graph().expect("canonical model");
     let (space, table) = match case {
@@ -708,19 +711,19 @@ pub fn measure_guarded(sys: &DasWoodsideSystem, case: &str) -> GuardedRow {
     if let Some(table) = &table {
         analysis = analysis.with_knowledge(table);
     }
-    let opts = GuardedOptions::default();
+    let budget = AnalysisBudget::default();
+    let guarded = || {
+        analysis
+            .try_enumerate_guarded(1, &BudgetGuard::new(&budget))
+            .unwrap_or_else(|e| panic!("{case}: the default budget refused the scan: {e}"))
+    };
 
     let t0 = Instant::now();
     let reference = std::hint::black_box(analysis.enumerate());
     let single_ns = t0.elapsed().as_nanos();
-    let report = std::hint::black_box(analysis.analyze_guarded(&opts));
     assert_eq!(
-        report.engine,
-        EngineKind::Exact,
-        "{case}: guarded run left the exact rung under the default budget"
-    );
-    assert_eq!(
-        report.distribution, reference,
+        std::hint::black_box(guarded()),
+        reference,
         "{case}: guarded distribution must be bit-identical"
     );
 
@@ -743,16 +746,8 @@ pub fn measure_guarded(sys: &DasWoodsideSystem, case: &str) -> GuardedRow {
 
         let t0 = Instant::now();
         for _ in 0..batch {
-            let report = std::hint::black_box(analysis.analyze_guarded(&opts));
-            assert_eq!(
-                report.engine,
-                EngineKind::Exact,
-                "{case}: left the exact rung"
-            );
-            assert_eq!(
-                report.distribution, reference,
-                "{case}: must be bit-identical"
-            );
+            let dist = std::hint::black_box(guarded());
+            assert_eq!(dist, reference, "{case}: must be bit-identical");
         }
         let g = t0.elapsed().as_nanos() / batch as u128;
         guarded_ns = guarded_ns.min(g);

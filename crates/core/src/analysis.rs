@@ -145,7 +145,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Panics if more than 30 components are fallible (use
     /// [`monte_carlo`](Analysis::monte_carlo) or
-    /// [`symbolic`](Analysis::symbolic) instead).
+    /// [`compile_mtbdd`](Analysis::compile_mtbdd) instead).
     pub fn enumerate(&self) -> ConfigDistribution {
         match self.compile() {
             Some(kernel) if self.prefers_compiled() => kernel.enumerate(),

@@ -10,7 +10,7 @@
 //!   components whose joint failure (management held up, so every
 //!   failure is detected) leaves no user chain operational.  The system
 //!   structure function is compiled to one BDD by the same
-//!   region-enumeration the symbolic engine uses ([`crate::symbolic`]),
+//!   region-enumeration the MTBDD engine uses ([`crate::mtbdd_engine`]),
 //!   and cuts are extracted with [`Bdd::minimal_cuts`].
 //! * **Management-plane cut sets** — minimal sets of management
 //!   elements (managers, agents, management processors, connectors)
@@ -178,7 +178,8 @@ impl AuditReport {
 }
 
 /// Ceiling on fallible application components: the structure function
-/// enumerates `2^A · 2^S` evaluator regions, like [`Analysis::symbolic`].
+/// enumerates `2^A · 2^S` evaluator regions, like
+/// [`Analysis::compile_mtbdd`].
 pub const MAX_APP_FALLIBLE: usize = 20;
 
 /// Runs the structural audit (see the [module docs](self)).
@@ -224,8 +225,8 @@ pub fn audit(
     // --- Compile the "system operational" structure function: OR over
     // (application cube ∧ signed know-guards) of every region whose
     // configuration keeps at least one user chain running.  Same region
-    // factoring as the symbolic engine, but the application variables
-    // stay symbolic so cuts can be read off one diagram.
+    // factoring as the MTBDD engine, but the diagram is a plain BDD of
+    // the operational predicate, so cuts can be read off it.
     let mut bdd = Bdd::new(space.len());
     let guards = GuardBuilder::new(&analysis);
     let mut cache: KnowCache<NodeRef> = KnowCache::new();
@@ -243,7 +244,7 @@ pub fn audit(
         for sigma in 0..(1u64 << n_services) {
             let outcomes: Vec<bool> = (0..n_services).map(|s| sigma & (1 << s) != 0).collect();
             let (config, decisions) = graph.configuration_with_outcomes(&state, &outcomes);
-            // Canonical form, as in the symbolic engine: an unconsulted
+            // Canonical form, as in the MTBDD engine: an unconsulted
             // service must carry σ_s = false.
             if decisions
                 .iter()

@@ -1,53 +1,53 @@
 //! Budget-guarded analysis with a graceful engine-degradation ladder.
 //!
-//! The exact engines scale as `2^N`; a model with 40 fallible components
-//! would happily wedge the process for days.  This module makes every
-//! engine *interruptible* and composes them into a ladder that always
-//! returns a result:
+//! The exact engines scale exponentially; a model with 40 fallible
+//! components would happily wedge the process for days.  This module
+//! makes every engine *interruptible* and composes them into one ladder
+//! that always returns a result:
 //!
 //! ```text
-//! exact enumeration ──▶ MTBDD ──▶ compiled bitmask ──▶ Monte Carlo
-//!   (2^N scan,           (2^A·2^S   (2^N scan,           (sampling,
-//!    bit-identical        build,     memoised,            batch-means
-//!    to `enumerate`)      mgmt is    deadline/memo        95% CI —
-//!                         symbolic)  bounded)             never fails)
+//! MTBDD ──────────▶ exact scan ──────────▶ importance sampling
+//!  (2^A·2^S build,    (2^N scan,             or Monte Carlo
+//!   mgmt is           bit-identical to       (batch-means
+//!   symbolic)         `enumerate`)           95% CI — never fails)
 //! ```
 //!
 //! An [`AnalysisBudget`] bounds wall-clock time, enumerated states, MTBDD
-//! nodes and memo entries.  Each rung checks its caps cooperatively (the
-//! Gray-code scan every [`CHECK_INTERVAL`] states, the MTBDD build per
-//! application-state cube via the manager's node limit); when a rung's
-//! budget is exhausted the ladder *descends* instead of erroring, and the
-//! returned [`AnalysisReport`] records which engine produced the number,
-//! every descent with its typed reason, and the confidence interval when
-//! the result is a Monte Carlo estimate.
+//! nodes and memo entries, and one [`BudgetGuard`] enforces it over the
+//! whole run.  Each rung checks its caps cooperatively (the MTBDD build
+//! per application-state cube via the manager's node limit, the Gray-code
+//! scan every [`CHECK_INTERVAL`] states); when a rung's budget is
+//! exhausted the ladder *descends* instead of erroring, and the returned
+//! [`AnalysisReport`] records which engine produced the number, every
+//! descent with its typed reason, and the confidence interval when the
+//! result is a sampled estimate.
 //!
 //! Rung semantics:
 //!
-//! * **Exact enumeration** — the same dispatch as
-//!   [`Analysis::enumerate`] / [`Analysis::enumerate_parallel`], so a
-//!   within-budget run is bit-identical to the unguarded engine.  Refused
-//!   when `2^N > max_states`.
 //! * **MTBDD** — the management plane is symbolic, so the build cost is
-//!   `2^A·2^S` (application components × services) rather than `2^N`:
-//!   a model whose management plane blew the state cap can still be
-//!   solved *exactly* here.  Node allocation is capped, the build loop is
-//!   deadline-checked, and the region count must fit `max_states`.
-//! * **Compiled bitmask** — one more exact attempt through the kernel,
-//!   for the case where the first rung's dispatch ran the naive scan (or
-//!   the MTBDD blew its node cap) and the kernel's memoisation can still
-//!   beat the deadline.
-//! * **Monte Carlo** — the bottom rung never fails: at least two sample
+//!   `2^A·2^S` (application components × services) rather than `2^N`.
+//!   Node allocation is capped, the build loop is deadline-checked, and
+//!   the region count must fit `max_states`.  The compiled diagram comes
+//!   back in the report, so a caller can cache it and answer later
+//!   availability vectors with one linear pass each.
+//! * **Exact scan** — the same dispatch as [`Analysis::enumerate`] /
+//!   [`Analysis::enumerate_parallel`], so a within-budget run is
+//!   bit-identical to the unguarded engine.  It answers when the diagram
+//!   did not fit the budget (the node cap, or more regions than
+//!   `max_states`) but the `2^N` scan does.
+//! * **Sampling** — the bottom rung never fails: at least two sample
 //!   batches always run (even with an already-expired deadline), and the
 //!   batch means give a Student-t 95% confidence interval on the failure
-//!   probability.
+//!   probability.  Models with a rare-event component get importance
+//!   sampling, every other model plain Monte Carlo.
 
 use crate::analysis::{check_enumerable, Analysis};
 use crate::distribution::ConfigDistribution;
 use crate::montecarlo::MonteCarloOptions;
+use crate::mtbdd_engine::CompiledMtbdd;
 use crate::sweep::SweepError;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// States scanned between two cooperative budget checks in the hot
@@ -76,15 +76,15 @@ pub const RARE_EVENT_FAIL_PROB: f64 = 1e-3;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisBudget {
     /// Wall-clock deadline for the exact rungs (`None` = unbounded).
-    /// The Monte Carlo rung stops *extending* past the deadline but
-    /// always completes its minimum two batches.
+    /// The sampling rung stops *extending* past the deadline but always
+    /// completes its minimum two batches.
     pub deadline: Option<Duration>,
-    /// Cap on exhaustively enumerated states: `2^N` for the scan rungs,
-    /// the `2^A·2^S` region count for the MTBDD build.
+    /// Cap on exhaustively enumerated states: the `2^A·2^S` region count
+    /// for the MTBDD build, `2^N` for the exact scan.
     pub max_states: u64,
     /// Cap on allocated MTBDD decision nodes during the compile.
     pub max_mtbdd_nodes: usize,
-    /// Cap on decision-memo entries in the compiled bitmask kernel
+    /// Cap on decision-memo entries in the exact scan's compiled kernel
     /// (checked at [`CHECK_INTERVAL`] granularity).
     pub max_memo_entries: usize,
 }
@@ -155,16 +155,13 @@ pub enum AnalysisError {
         /// The budget's cap.
         max_nodes: usize,
     },
-    /// The bitmask kernel's decision memo hit its entry cap.
+    /// The exact scan's decision memo hit its entry cap.
     MemoCapExceeded {
         /// Entries at the time of the check.
         entries: usize,
         /// The budget's cap.
         max_entries: usize,
     },
-    /// The analysis cannot be compiled to a bitmask kernel (more than 64
-    /// fallible elements or an uncompilable know table).
-    KernelUnavailable,
     /// A sampling estimator was asked for zero samples.
     NoSamples,
     /// An evaluation input's length does not match the compiled
@@ -219,9 +216,6 @@ impl std::fmt::Display for AnalysisError {
                     f,
                     "decision memo reached {entries} entries, exceeding the budget of {max_entries}"
                 )
-            }
-            AnalysisError::KernelUnavailable => {
-                write!(f, "the analysis cannot be compiled to a bitmask kernel")
             }
             AnalysisError::NoSamples => write!(f, "a sampling estimator needs at least 1 sample"),
             AnalysisError::DimensionMismatch { expected, got } => {
@@ -311,9 +305,6 @@ pub enum EngineKind {
     Exact,
     /// The compile-once multi-terminal BDD engine.
     Mtbdd,
-    /// The compiled bitmask kernel, forced past the first rung's
-    /// dispatch heuristic.
-    Bitmask,
     /// Monte Carlo sampling with batch-means confidence intervals.
     MonteCarlo,
     /// Rare-event importance sampling (failure-biased proposal with
@@ -327,7 +318,6 @@ impl EngineKind {
         match self {
             EngineKind::Exact => "exact-enumeration",
             EngineKind::Mtbdd => "mtbdd",
-            EngineKind::Bitmask => "compiled-bitmask",
             EngineKind::MonteCarlo => "monte-carlo",
             EngineKind::Importance => "importance-sampling",
         }
@@ -391,8 +381,9 @@ pub struct EstimateInfo {
 }
 
 /// The outcome of a guarded analysis: the distribution, which engine
-/// actually produced it, every ladder descent, and estimator provenance
-/// when the result is sampled rather than exact.
+/// actually produced it, every ladder descent, estimator provenance when
+/// the result is sampled rather than exact, and what the MTBDD rung
+/// built and spent.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
     /// The configuration distribution (exact or estimated per
@@ -406,6 +397,13 @@ pub struct AnalysisReport {
     /// (`engine` is [`EngineKind::MonteCarlo`] or
     /// [`EngineKind::Importance`]).
     pub estimate: Option<EstimateInfo>,
+    /// The diagram the MTBDD rung compiled, present iff that rung
+    /// answered (`engine` is [`EngineKind::Mtbdd`]); later availability
+    /// vectors of the same analysis cost one linear pass over it.
+    pub compiled: Option<Arc<CompiledMtbdd>>,
+    /// Wall time the MTBDD rung spent compiling, whether the compile
+    /// fit the budget or was refused.
+    pub compile_time: Duration,
 }
 
 /// Options for [`Analysis::analyze_guarded`].
@@ -443,71 +441,46 @@ impl Default for GuardedOptions {
 
 impl Analysis<'_> {
     /// Runs the degradation ladder (see the [module docs](crate::budget))
-    /// and always returns a result: exact enumeration, then MTBDD, then
-    /// the compiled bitmask kernel, then Monte Carlo with batch-means
-    /// confidence intervals.
+    /// under one [`BudgetGuard`] and always returns a result: the MTBDD
+    /// compile, then the exact scan, then importance sampling or Monte
+    /// Carlo with batch-means confidence intervals.
     pub fn analyze_guarded(&self, opts: &GuardedOptions) -> AnalysisReport {
-        self.run_ladder(opts, true)
-    }
-
-    /// [`analyze_guarded`](Analysis::analyze_guarded) with the MTBDD rung
-    /// skipped, for a caller whose own MTBDD compile of this analysis was
-    /// already refused and which reports that refusal itself: the ladder
-    /// neither builds the same diagram a second time nor records the
-    /// rung.  The other rungs run exactly as in `analyze_guarded`, so a
-    /// refused rung's answer is the same bit for bit (same rungs, seed
-    /// and samples), and its descents are the same minus the MTBDD one.
-    pub fn analyze_guarded_without_mtbdd(&self, opts: &GuardedOptions) -> AnalysisReport {
-        self.run_ladder(opts, false)
-    }
-
-    fn run_ladder(&self, opts: &GuardedOptions, try_mtbdd: bool) -> AnalysisReport {
         let guard = BudgetGuard::new(&opts.budget);
         let mut descents = Vec::new();
 
-        match self.try_enumerate_within(opts.threads, &guard) {
+        let compile_start = Instant::now();
+        let compiled = self.try_compile_mtbdd_guarded(&guard);
+        let compile_time = compile_start.elapsed();
+        match compiled {
+            Ok(compiled) => {
+                return AnalysisReport {
+                    distribution: compiled.distribution(),
+                    engine: EngineKind::Mtbdd,
+                    descents,
+                    estimate: None,
+                    compiled: Some(Arc::new(compiled)),
+                    compile_time,
+                }
+            }
+            Err(reason) => descents.push(Descent {
+                engine: EngineKind::Mtbdd,
+                reason,
+            }),
+        }
+
+        match self.try_enumerate_guarded(opts.threads, &guard) {
             Ok(distribution) => {
                 return AnalysisReport {
                     distribution,
                     engine: EngineKind::Exact,
                     descents,
                     estimate: None,
+                    compiled: None,
+                    compile_time,
                 }
             }
             Err(reason) => descents.push(Descent {
                 engine: EngineKind::Exact,
-                reason,
-            }),
-        }
-
-        if try_mtbdd {
-            match self.try_compile_mtbdd_guarded(&guard) {
-                Ok(compiled) => {
-                    return AnalysisReport {
-                        distribution: compiled.distribution(),
-                        engine: EngineKind::Mtbdd,
-                        descents,
-                        estimate: None,
-                    }
-                }
-                Err(reason) => descents.push(Descent {
-                    engine: EngineKind::Mtbdd,
-                    reason,
-                }),
-            }
-        }
-
-        match self.try_bitmask_within(opts.threads, &guard) {
-            Ok(distribution) => {
-                return AnalysisReport {
-                    distribution,
-                    engine: EngineKind::Bitmask,
-                    descents,
-                    estimate: None,
-                }
-            }
-            Err(reason) => descents.push(Descent {
-                engine: EngineKind::Bitmask,
                 reason,
             }),
         }
@@ -520,7 +493,7 @@ impl Analysis<'_> {
         // estimator, everything else plain Monte Carlo — and the choice
         // is engine provenance in the report.
         let samples = opts.samples.max(MC_BATCHES);
-        if self.has_rare_event_components() {
+        let (estimate, distribution, engine) = if self.has_rare_event_components() {
             let is = self.importance_batched(
                 crate::importance::ImportanceOptions {
                     samples,
@@ -531,26 +504,25 @@ impl Analysis<'_> {
                 MC_BATCHES,
                 Some(&guard),
             );
-            return AnalysisReport {
-                estimate: Some(is.info),
-                distribution: is.distribution,
-                engine: EngineKind::Importance,
-                descents,
-            };
-        }
-        let mc = self.monte_carlo_batched(
-            MonteCarloOptions {
-                samples,
-                seed: opts.seed,
-            },
-            MC_BATCHES,
-            Some(&guard),
-        );
+            (is.info, is.distribution, EngineKind::Importance)
+        } else {
+            let mc = self.monte_carlo_batched(
+                MonteCarloOptions {
+                    samples,
+                    seed: opts.seed,
+                },
+                MC_BATCHES,
+                Some(&guard),
+            );
+            (mc.info, mc.distribution, EngineKind::MonteCarlo)
+        };
         AnalysisReport {
-            estimate: Some(mc.info),
-            distribution: mc.distribution,
-            engine: EngineKind::MonteCarlo,
+            distribution,
+            engine,
             descents,
+            estimate: Some(estimate),
+            compiled: None,
+            compile_time,
         }
     }
 
@@ -564,10 +536,18 @@ impl Analysis<'_> {
         })
     }
 
-    /// First rung: the [`Analysis::enumerate`] /
-    /// [`Analysis::enumerate_parallel`] dispatch under the state cap and
-    /// deadline.  A success is bit-identical to the unguarded engine.
-    fn try_enumerate_within(
+    /// The ladder's exact-scan rung: the [`Analysis::enumerate`] /
+    /// [`Analysis::enumerate_parallel`] dispatch (`threads > 1` for the
+    /// latter) under `guard`'s state cap, deadline and memo cap.  A
+    /// success is bit-identical to the unguarded engine.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::TooManyComponents`],
+    /// [`AnalysisError::StateCapExceeded`],
+    /// [`AnalysisError::DeadlineExpired`] or
+    /// [`AnalysisError::MemoCapExceeded`].
+    pub fn try_enumerate_guarded(
         &self,
         threads: usize,
         guard: &BudgetGuard,
@@ -595,31 +575,6 @@ impl Analysis<'_> {
             _ => self.try_enumerate_naive_guarded(guard),
         }
     }
-
-    /// Third rung: force the bitmask kernel even where the first rung's
-    /// dispatch would have scanned naively.
-    fn try_bitmask_within(
-        &self,
-        threads: usize,
-        guard: &BudgetGuard,
-    ) -> Result<ConfigDistribution, AnalysisError> {
-        let fallible = self.space.fallible_indices().len();
-        check_enumerable(fallible, None)?;
-        let states = 1u64 << fallible;
-        if states > guard.budget().max_states {
-            return Err(AnalysisError::StateCapExceeded {
-                states,
-                max_states: guard.budget().max_states,
-            });
-        }
-        guard.check()?;
-        let kernel = self.compile().ok_or(AnalysisError::KernelUnavailable)?;
-        if threads > 1 {
-            kernel.try_enumerate_parallel_guarded(threads, guard)
-        } else {
-            kernel.try_enumerate_guarded(guard)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -638,18 +593,68 @@ mod tests {
     }
 
     #[test]
-    fn default_budget_stays_on_the_exact_rung() {
-        let (sys, mama) = centralized_parts();
+    fn paper_models_answer_from_the_mtbdd_or_the_bit_identical_scan() {
+        let sys = das_woodside_system();
         let graph = sys.fault_graph().unwrap();
-        let space = ComponentSpace::build(&sys.model, &mama);
-        let table = KnowTable::build(&graph, &mama, &space);
-        let analysis = Analysis::new(&graph, &space).with_knowledge(&table);
-        let report = analysis.analyze_guarded(&GuardedOptions::default());
-        assert_eq!(report.engine, EngineKind::Exact);
-        assert!(report.descents.is_empty());
-        assert!(report.estimate.is_none());
-        // Bit-identical to the unguarded engine.
-        assert_eq!(report.distribution, analysis.enumerate());
+        // The five shipped paper models; the as-published distributed one
+        // is analysed with unmonitored components known, as in the paper.
+        let models = [
+            ("centralized", arch::centralized(&sys, 0.1), false),
+            ("distributed", arch::distributed(&sys, 0.1), false),
+            (
+                "distributed-as-published",
+                arch::distributed_as_published(&sys, 0.1),
+                true,
+            ),
+            ("hierarchical", arch::hierarchical(&sys, 0.1), false),
+            ("network", arch::network(&sys, 0.1), false),
+        ];
+        for (name, mama, unmonitored_known) in &models {
+            let space = ComponentSpace::build(&sys.model, mama);
+            let table = KnowTable::build(&graph, mama, &space);
+            let analysis = Analysis::new(&graph, &space)
+                .with_knowledge(&table)
+                .with_unmonitored_known(*unmonitored_known);
+            let reference = analysis.enumerate();
+
+            // The default budget: the first rung answers and hands back
+            // the diagram it compiled.
+            let report = analysis.analyze_guarded(&GuardedOptions::default());
+            assert_eq!(report.engine, EngineKind::Mtbdd, "{name}");
+            assert!(report.descents.is_empty(), "{name}");
+            assert!(report.estimate.is_none(), "{name}");
+            assert!(
+                reference.max_abs_diff(&report.distribution) < 1e-12,
+                "{name}"
+            );
+            let compiled = report.compiled.expect("the answering MTBDD rung");
+            assert_eq!(compiled.distribution(), report.distribution, "{name}");
+            assert!(report.compile_time > Duration::ZERO, "{name}");
+
+            // A refused compile: the scan answers, bit-identical to the
+            // unguarded engine.
+            let report = analysis.analyze_guarded(&GuardedOptions {
+                budget: AnalysisBudget {
+                    max_mtbdd_nodes: 1,
+                    ..AnalysisBudget::default()
+                },
+                ..GuardedOptions::default()
+            });
+            assert_eq!(report.engine, EngineKind::Exact, "{name}");
+            let engines: Vec<EngineKind> = report.descents.iter().map(|d| d.engine).collect();
+            assert_eq!(engines, [EngineKind::Mtbdd], "{name}");
+            assert!(
+                matches!(
+                    report.descents[0].reason,
+                    AnalysisError::NodeCapExceeded { max_nodes: 1 }
+                ),
+                "{name}: {:?}",
+                report.descents
+            );
+            assert!(report.compiled.is_none(), "{name}");
+            assert!(report.compile_time > Duration::ZERO, "{name}");
+            assert_eq!(report.distribution, reference, "{name}");
+        }
     }
 
     #[test]
@@ -669,7 +674,7 @@ mod tests {
         };
         let report = analysis.analyze_guarded(&opts);
         assert_eq!(report.engine, EngineKind::MonteCarlo);
-        assert_eq!(report.descents.len(), 3);
+        assert_eq!(report.descents.len(), 2);
         for d in &report.descents {
             assert!(
                 matches!(d.reason, AnalysisError::StateCapExceeded { .. }),
@@ -693,7 +698,7 @@ mod tests {
     #[test]
     fn intermediate_cap_lands_on_mtbdd_exactly() {
         // Cap below 2^14 but above the MTBDD's 2^8·2^2 region count: the
-        // ladder must stop on the (exact) MTBDD rung.
+        // (exact) MTBDD rung answers although the scan would not fit.
         let (sys, mama) = centralized_parts();
         let graph = sys.fault_graph().unwrap();
         let space = ComponentSpace::build(&sys.model, &mama);
@@ -708,7 +713,7 @@ mod tests {
         };
         let report = analysis.analyze_guarded(&opts);
         assert_eq!(report.engine, EngineKind::Mtbdd);
-        assert_eq!(report.descents.len(), 1);
+        assert!(report.descents.is_empty());
         assert!(report.engine.is_exact());
         let exact = analysis.enumerate();
         assert!(exact.max_abs_diff(&report.distribution) < 1e-12);
@@ -746,10 +751,9 @@ mod tests {
         let space = ComponentSpace::build(&sys.model, &mama);
         let table = KnowTable::build(&graph, &mama, &space);
         let analysis = Analysis::new(&graph, &space).with_knowledge(&table);
-        // State cap forces past rung 1; node cap 1 kills the MTBDD; the
-        // bitmask rung is refused by the same state cap; Monte Carlo
-        // catches.  But with an *adequate* state cap and node cap 1 the
-        // bitmask rung must catch it exactly.
+        // Node cap 1 kills the MTBDD; with an adequate state cap the
+        // exact scan catches it, and with a state cap below 2^14 Monte
+        // Carlo does.
         let opts = GuardedOptions {
             budget: AnalysisBudget {
                 max_mtbdd_nodes: 1,
@@ -760,7 +764,6 @@ mod tests {
         let report = analysis.analyze_guarded(&opts);
         assert_eq!(report.engine, EngineKind::Exact);
 
-        // Force the MTBDD rung to actually run (and fail on nodes).
         let opts = GuardedOptions {
             budget: AnalysisBudget {
                 max_states: 1 << 12,
@@ -776,49 +779,6 @@ mod tests {
             .descents
             .iter()
             .any(|d| matches!(d.reason, AnalysisError::NodeCapExceeded { .. })));
-    }
-
-    #[test]
-    fn skipping_the_mtbdd_rung_leaves_the_other_rungs_bit_identical() {
-        let (sys, mama) = centralized_parts();
-        let graph = sys.fault_graph().unwrap();
-        let space = ComponentSpace::build(&sys.model, &mama);
-        let table = KnowTable::build(&graph, &mama, &space);
-        let analysis = Analysis::new(&graph, &space).with_knowledge(&table);
-        // Exact refused: the answer comes from a rung below the MTBDD.
-        let starved = GuardedOptions {
-            budget: AnalysisBudget {
-                max_states: 1 << 12,
-                max_mtbdd_nodes: 1,
-                ..AnalysisBudget::default()
-            },
-            samples: 10_000,
-            ..GuardedOptions::default()
-        };
-        // Exact fits: the first rung answers and nothing is skipped.
-        let roomy = GuardedOptions {
-            budget: AnalysisBudget {
-                max_mtbdd_nodes: 1,
-                ..AnalysisBudget::default()
-            },
-            ..GuardedOptions::default()
-        };
-        for opts in [starved, roomy] {
-            let full = analysis.analyze_guarded(&opts);
-            let skipped = analysis.analyze_guarded_without_mtbdd(&opts);
-            // Same rungs, same seed, same samples: the same answer bit
-            // for bit, with the MTBDD rung's descent left to the caller.
-            assert_eq!(skipped.engine, full.engine);
-            assert_eq!(skipped.distribution, full.distribution);
-            assert_eq!(skipped.estimate, full.estimate);
-            let expected: Vec<Descent> = full
-                .descents
-                .iter()
-                .filter(|d| d.engine != EngineKind::Mtbdd)
-                .cloned()
-                .collect();
-            assert_eq!(skipped.descents, expected);
-        }
     }
 
     #[test]
@@ -845,9 +805,9 @@ mod tests {
             max_states: 16,
         };
         assert!(e.to_string().contains("16"));
-        assert!(AnalysisError::KernelUnavailable
+        assert!(AnalysisError::NodeCapExceeded { max_nodes: 64 }
             .to_string()
-            .contains("kernel"));
+            .contains("node budget of 64"));
         assert!(AnalysisError::Sweep(SweepError::BoundOutOfRange)
             .to_string()
             .contains("[0, 1]"));

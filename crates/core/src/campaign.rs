@@ -395,6 +395,8 @@ impl Campaign<'_, '_> {
             engine: EngineKind::Mtbdd,
             descents: Vec::new(),
             estimate: None,
+            compiled: None,
+            compile_time: Duration::ZERO,
         };
         let covered = covered_in(self.graph, table, probe);
         self.finish(label, report, covered, baseline)
@@ -520,7 +522,7 @@ fn unit_clamp(p: f64) -> f64 {
 /// task still learn about?
 ///
 /// Shared by the campaign's fallback path and by the structural audit's
-/// differential replay (see [`crate::audit`]).
+/// differential replay (see [`crate::audit`](mod@crate::audit)).
 pub fn covered_components(
     graph: &FaultGraph<'_>,
     space: &ComponentSpace,

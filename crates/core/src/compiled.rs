@@ -875,9 +875,9 @@ enum ScanMode {
     /// One state at a time off the shared Gray iterator — the
     /// reference path the lane scan is differenced against.
     Scalar,
-    /// Block scan with `W`-lane batched probability and know-answer
-    /// evaluation (`W` in `{1, 2, 4, 8}`).
-    Lanes(usize),
+    /// Block scan with [`LANE_WIDTH`]-lane batched probability and
+    /// know-answer evaluation.
+    Lanes,
 }
 
 impl CompiledKernel<'_> {
@@ -919,9 +919,9 @@ impl CompiledKernel<'_> {
     /// # Panics
     ///
     /// Panics if more than 30 elements are fallible (use
-    /// [`Analysis::monte_carlo`] or [`Analysis::symbolic`]).
+    /// [`Analysis::monte_carlo`] or [`Analysis::compile_mtbdd`]).
     pub fn enumerate(&self) -> ConfigDistribution {
-        self.enumerate_masked(None, ScanMode::Lanes(LANE_WIDTH))
+        self.enumerate_masked(None, ScanMode::Lanes)
     }
 
     /// Exact enumeration through the scalar (one state per step)
@@ -931,25 +931,11 @@ impl CompiledKernel<'_> {
         self.enumerate_masked(None, ScanMode::Scalar)
     }
 
-    /// [`enumerate`](CompiledKernel::enumerate) with an explicit lane
-    /// width (1, 2, 4 or 8); every width produces the same bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsupported width.
-    pub fn enumerate_with_lane_width(&self, width: usize) -> ConfigDistribution {
-        assert!(
-            matches!(width, 1 | 2 | 4 | 8),
-            "lane width must be 1, 2, 4 or 8, got {width}"
-        );
-        self.enumerate_masked(None, ScanMode::Lanes(width))
-    }
-
     /// [`enumerate`](CompiledKernel::enumerate) with common-cause
     /// failure dependencies; bit-identical to
     /// [`Analysis::enumerate_naive_with_dependencies`].
     pub fn enumerate_with_dependencies(&self, deps: &FailureDependencies) -> ConfigDistribution {
-        self.enumerate_masked(Some(deps), ScanMode::Lanes(LANE_WIDTH))
+        self.enumerate_masked(Some(deps), ScanMode::Lanes)
     }
 
     /// [`enumerate_scalar`](CompiledKernel::enumerate_scalar) with
@@ -980,8 +966,7 @@ impl CompiledKernel<'_> {
         acc.into_distribution(n_states * contexts.len() as u64)
     }
 
-    /// Monomorphization shim: routes a scan to the scalar loop or to
-    /// the lane loop instantiated at the requested width.
+    /// Routes a scan to the scalar reference loop or to the lane loop.
     #[allow(clippy::too_many_arguments)]
     fn scan_dispatch(
         &self,
@@ -995,11 +980,7 @@ impl CompiledKernel<'_> {
     ) -> Result<(), AnalysisError> {
         match mode {
             ScanMode::Scalar => self.scan_range(ctx, lo, hi, memo, acc, guard),
-            ScanMode::Lanes(1) => self.scan_range_lanes::<1>(ctx, lo, hi, memo, acc, guard),
-            ScanMode::Lanes(2) => self.scan_range_lanes::<2>(ctx, lo, hi, memo, acc, guard),
-            ScanMode::Lanes(4) => self.scan_range_lanes::<4>(ctx, lo, hi, memo, acc, guard),
-            ScanMode::Lanes(8) => self.scan_range_lanes::<8>(ctx, lo, hi, memo, acc, guard),
-            ScanMode::Lanes(w) => unreachable!("lane width {w} rejected at the API boundary"),
+            ScanMode::Lanes => self.scan_range_lanes(ctx, lo, hi, memo, acc, guard),
         }
     }
 
@@ -1023,7 +1004,7 @@ impl CompiledKernel<'_> {
         for ctx in &contexts {
             memo.clear();
             self.scan_dispatch(
-                ScanMode::Lanes(LANE_WIDTH),
+                ScanMode::Lanes,
                 ctx,
                 0,
                 n_states,
@@ -1072,7 +1053,7 @@ impl CompiledKernel<'_> {
                     for ctx in contexts {
                         memo.clear();
                         if let Err(e) = self.scan_dispatch(
-                            ScanMode::Lanes(LANE_WIDTH),
+                            ScanMode::Lanes,
                             ctx,
                             lo,
                             hi,
@@ -1212,7 +1193,7 @@ impl CompiledKernel<'_> {
     /// accumulation order as [`scan_range`](CompiledKernel::scan_range)
     /// — and therefore the same bits — but states come off the walk in
     /// [`LANE_WIDTH`]-state blocks whose probabilities, effective words
-    /// and know answers are computed as `W`-lane array batches the
+    /// and know answers are computed as lane-wide array batches the
     /// autovectorizer can SIMD.  Only the resolve pass (memo probe +
     /// accumulate) stays sequential; every float it touches was
     /// computed from the same operands as the scalar scan's.
@@ -1220,7 +1201,7 @@ impl CompiledKernel<'_> {
     /// The subrange Gray-walk machinery doubles as the lane splitter:
     /// unaligned thread-chunk bounds produce single-state
     /// prologue/epilogue emissions off the shared iterator path.
-    fn scan_range_lanes<const W: usize>(
+    fn scan_range_lanes(
         &self,
         ctx: &EvalContext,
         lo: u64,
@@ -1229,10 +1210,6 @@ impl CompiledKernel<'_> {
         acc: &mut Accumulator,
         guard: Option<&BudgetGuard>,
     ) -> Result<(), AnalysisError> {
-        debug_assert!(
-            W > 0 && LANE_WIDTH.is_multiple_of(W),
-            "lane width must divide 8"
-        );
         let mut fc = ScanFlush {
             rec: self.analysis.recorder,
             c: ScanCounters::default(),
@@ -1301,15 +1278,7 @@ impl CompiledKernel<'_> {
                     *p = ctx.gprob * q;
                 }
                 if let Some(lk) = &lk {
-                    let mut c = 0;
-                    while c < LANE_WIDTH {
-                        let mut e = [0u64; W];
-                        e.copy_from_slice(&eff[c..c + W]);
-                        let mut a = [0u64; W];
-                        lk.answers_chunk(&e, &mut a);
-                        ans[c..c + W].copy_from_slice(&a);
-                        c += W;
-                    }
+                    lk.answers_chunk(&eff, &mut ans);
                 }
             } else {
                 eff[0] = words[0] & !ctx.forced_mask;
@@ -1431,16 +1400,8 @@ impl CompiledKernel<'_> {
                     let mut memo = self.new_memo();
                     for ctx in contexts {
                         memo.clear();
-                        self.scan_dispatch(
-                            ScanMode::Lanes(LANE_WIDTH),
-                            ctx,
-                            lo,
-                            hi,
-                            &mut memo,
-                            &mut acc,
-                            None,
-                        )
-                        .expect("invariant: an unguarded scan has no budget to exhaust");
+                        self.scan_dispatch(ScanMode::Lanes, ctx, lo, hi, &mut memo, &mut acc, None)
+                            .expect("invariant: an unguarded scan has no budget to exhaust");
                     }
                     acc.into_distribution(0)
                 }));
@@ -1908,9 +1869,8 @@ mod tests {
     #[test]
     fn lane_scan_matches_scalar_scan_on_unaligned_subranges() {
         // Thread chunking hands the lane scan arbitrary `[lo, hi)`
-        // subranges; every lane width must reproduce the scalar scan's
-        // bits on odd and even remainders alike, prologue and epilogue
-        // included.
+        // subranges; it must reproduce the scalar scan's bits on odd and
+        // even remainders alike, prologue and epilogue included.
         let sys = das_woodside_system();
         let graph = sys.fault_graph().unwrap();
         let mama = arch::hierarchical(&sys, 0.1);
@@ -1934,26 +1894,12 @@ mod tests {
                 .scan_range(ctx, lo, hi, &mut memo, &mut scalar_acc, None)
                 .unwrap();
             let reference = scalar_acc.into_distribution(hi - lo);
-            for width in [1usize, 2, 4, 8] {
-                let mut acc = Accumulator::new(&space);
-                let mut memo = kernel.new_memo();
-                kernel
-                    .scan_dispatch(
-                        ScanMode::Lanes(width),
-                        ctx,
-                        lo,
-                        hi,
-                        &mut memo,
-                        &mut acc,
-                        None,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    acc.into_distribution(hi - lo),
-                    reference,
-                    "[{lo}, {hi}) at width {width}"
-                );
-            }
+            let mut acc = Accumulator::new(&space);
+            let mut memo = kernel.new_memo();
+            kernel
+                .scan_range_lanes(ctx, lo, hi, &mut memo, &mut acc, None)
+                .unwrap();
+            assert_eq!(acc.into_distribution(hi - lo), reference, "[{lo}, {hi})");
         }
     }
 

@@ -1,7 +1,8 @@
 //! Shared construction of `know` coverage guards over a Boolean algebra.
 //!
-//! Both symbolic engines — the ROBDD engine of [`crate::symbolic`] and the
-//! MTBDD engine of [`crate::mtbdd_engine`] — need the same formulas: for a
+//! Both diagram builders — the ROBDD structure function of
+//! [`crate::audit`] and the MTBDD engine of [`crate::mtbdd_engine`] —
+//! need the same formulas: for a
 //! [`ServiceDecision`], the conjunction of `know(c, decider)` over the
 //! candidate's up-support and, per skipped higher-priority alternative,
 //! the policy-dependent knowledge clause about its failed components.
@@ -12,7 +13,7 @@
 //! instantiated for both diagram managers; BDD canonicity guarantees the
 //! factoring changes nothing.
 //!
-//! Two knobs the MTBDD engine needs and the ROBDD engine does not:
+//! Two knobs the MTBDD engine needs and the audit does not:
 //!
 //! * `forced`: components forced down by an active common-cause group.
 //!   Mirroring [`fmperf_mama::KnowFunction::compile`], a minpath through a
@@ -105,8 +106,8 @@ pub(crate) struct GuardBuilder<'a> {
 }
 
 impl<'a> GuardBuilder<'a> {
-    /// A builder reproducing the plain symbolic-engine semantics: no
-    /// forced components, every path variable materialised.
+    /// A builder for the audit's structure function: no forced
+    /// components, every path variable materialised.
     pub(crate) fn new(analysis: &'a Analysis<'a>) -> Self {
         GuardBuilder {
             analysis,

@@ -13,18 +13,20 @@
 //!   exact engines: packed `u64` state words, Gray-code enumeration and
 //!   memoised service decisions (bit-identical to the naive reference
 //!   scan, an order of magnitude faster).
-//! * [`symbolic`](Analysis::symbolic) — the "non-state-space-based"
-//!   engine the paper's conclusion calls for: coverage conditions are
-//!   compiled to BDDs over the management components, making the cost
-//!   `2^(application components)` × small BDD work instead of
-//!   `2^(all components)`.
-//! * [`compile_mtbdd`](Analysis::compile_mtbdd) — the compile-once MTBDD
-//!   engine: the complete state→configuration map as one multi-terminal
-//!   BDD per common-cause context, after which *any* availability vector
-//!   costs a single pass linear in the diagram ([`sweep`] drives
-//!   paper-style availability curves over it, and
-//!   [`sensitivity_mtbdd`](sensitivity::sensitivity_mtbdd) reads exact
-//!   derivatives off the co-factors).
+//! * [`compile_mtbdd`](Analysis::compile_mtbdd) — the
+//!   "non-state-space-based" engine the paper's conclusion calls for:
+//!   coverage conditions are compiled over the management components, so
+//!   the build costs `2^(application components)` × small diagram work
+//!   instead of `2^(all components)`.  The complete state→configuration
+//!   map becomes one multi-terminal BDD per common-cause context, after
+//!   which *any* availability vector costs a single pass linear in the
+//!   diagram ([`sweep`](fn@sweep) drives paper-style availability
+//!   curves over it, and [`sensitivity_mtbdd`] reads exact derivatives
+//!   off the co-factors).
+//! * [`analyze_guarded`](Analysis::analyze_guarded) — the one
+//!   budget-guarded ladder ([`budget`]): the MTBDD compile, then the
+//!   exact scan, then importance sampling or Monte Carlo, always
+//!   returning a result.
 //! * [`monte_carlo`](Analysis::monte_carlo) — sampling estimator for
 //!   models beyond exact reach.
 //! * [`solve_configurations`] / [`expected_reward`] — step 5/6: solve an
@@ -78,7 +80,6 @@ pub mod report;
 pub mod reward;
 pub mod sensitivity;
 pub mod sweep;
-pub mod symbolic;
 
 pub use analysis::{Analysis, Knowledge};
 pub use audit::{

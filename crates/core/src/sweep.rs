@@ -2,7 +2,7 @@
 //!
 //! The paper's effectiveness study (§6, Figure 11) varies management
 //! availability and re-derives the configuration probabilities at every
-//! point.  With [`Analysis::compile_mtbdd`] that workload becomes
+//! point.  With [`Analysis::compile_mtbdd`](crate::Analysis::compile_mtbdd) that workload becomes
 //! `compile + points × linear-pass` instead of `points × enumerate`: the
 //! state→configuration map is compiled once and each sweep point is one
 //! pass over the frozen diagram.

@@ -127,10 +127,11 @@ fn budget_degradation(m: &ParsedModel, config: &LintConfig, out: &mut Vec<Diagno
         )
         .with_help(
             "a budget-guarded run (`fmperf analyze --engine guarded`, `fmperf campaign`) \
-             will skip exact enumeration and degrade down the ladder — MTBDD, compiled \
-             bitmask, then sampling with a batch-means 95% confidence interval; raise \
-             --budget-states to force the exact engines, or use `--engine importance` \
-             directly when component failures are rare (see FM205)",
+             has no exact scan to fall back on: it stays exact only while the MTBDD \
+             compile fits the budget, and otherwise degrades to sampling with a \
+             batch-means 95% confidence interval; raise --budget-states to let the scan \
+             answer, or use `--engine importance` directly when component failures are \
+             rare (see FM205)",
         ),
     );
 }
@@ -138,11 +139,12 @@ fn budget_degradation(m: &ParsedModel, config: &LintConfig, out: &mut Vec<Diagno
 /// FM204: the know table spans enough augmented minpaths that guard
 /// compilation is likely to dominate the run.
 ///
-/// Every symbolic engine builds each `know(component, task)` guard as
-/// the OR over that pair's augmented minpaths of the AND of the path's
-/// component variables, so total guard-build work scales with the sum
-/// of minpath counts across the know table — independently of the
-/// state-space size the other FM20x passes speak about.
+/// The MTBDD engine and the structural audit build each
+/// `know(component, task)` guard as the OR over that pair's augmented
+/// minpaths of the AND of the path's component variables, so total
+/// guard-build work scales with the sum of minpath counts across the
+/// know table — independently of the state-space size the other FM20x
+/// passes speak about.
 fn guard_compilation_cost(m: &ParsedModel, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     let Ok(graph) = FaultGraph::build(&m.app) else {
         return;

@@ -6,7 +6,7 @@
 //!   When the bounded queue is full the connection is answered `503`
 //!   with `Retry-After` right on the acceptor thread and dropped.
 //! * **Per-request deadlines** — every analysis request carries an
-//!   [`AnalysisBudget`]; overload degrades through the guarded ladder
+//!   [`AnalysisBudget`](fmperf_core::AnalysisBudget); overload degrades through the guarded ladder
 //!   to a sampled answer with a confidence interval instead of hanging.
 //! * **Panic isolation** — each request runs under `catch_unwind`; a
 //!   panicking handler answers `500` and the worker loops on.  Both the

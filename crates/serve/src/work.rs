@@ -2,24 +2,24 @@
 //! campaign over a [`ModelSession`](crate::session::ModelSession)'s
 //! parsed model, with an optional cached [`CompiledMtbdd`] artifact.
 //!
-//! The daemon's cold path deliberately differs from the CLI ladder's
-//! exact-first order: it tries the MTBDD compile *first* (under the
-//! request's guard), because the compiled diagram is the one artifact
-//! worth caching — every later analyze/sweep/what-if on the same model
-//! becomes a single linear evaluation pass.  Only when the compile
-//! refuses the budget does the request fall back to the guarded
-//! degradation ladder, whose bottom sampling rung never fails and
-//! always carries a batch-means confidence interval.  The refusal is
-//! the response's first descent, and the ladder skips its MTBDD rung
-//! rather than building the same diagram again.
+//! The daemon's cold path is one run of the guarded ladder
+//! ([`Analysis::analyze_guarded`]) under the request's budget, the same
+//! ladder the CLI runs.  Its first rung compiles the MTBDD, and a
+//! diagram that fits the budget comes back with the answer: it is the
+//! one artifact worth caching, since every later analyze/sweep/what-if
+//! on the same model becomes a single linear evaluation pass.  A refused
+//! compile is the response's first descent; the ladder then tries the
+//! exact scan and ends in a sampling rung that never fails and always
+//! carries a batch-means confidence interval.
 //!
 //! Campaigns compile a diagram of their own, with every injection point
 //! kept as a variable (see [`fmperf_core::campaign`]), so they neither
 //! read nor fill the cache.
 
 use fmperf_core::{
-    run_campaign_observed, solve_configurations, sweep, Analysis, AnalysisBudget, BudgetGuard,
-    CampaignOptions, CompiledMtbdd, EstimateInfo, GuardedOptions, RewardSpec, SweepSpec,
+    run_campaign_observed, solve_configurations, sweep, Analysis, AnalysisBudget, AnalysisReport,
+    BudgetGuard, CampaignOptions, CompiledMtbdd, EngineKind, EstimateInfo, GuardedOptions,
+    RewardSpec, SweepSpec,
 };
 use fmperf_ftlqn::{FaultGraph, KnowPolicy};
 use fmperf_mama::{ComponentSpace, KnowTable};
@@ -84,7 +84,7 @@ impl CacheStatus {
 }
 
 /// The outcome of one analyze request.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct AnalyzeOutcome {
     /// The engine that produced the distribution (stable
     /// [`EngineKind::name`](fmperf_core::EngineKind::name) string).
@@ -120,18 +120,6 @@ pub struct AnalyzeOutcome {
     /// Wall-clock nanoseconds spent evaluating: diagram pass or ladder
     /// descent, configuration ranking and the reward solve.
     pub eval_ns: u64,
-}
-
-impl std::fmt::Debug for AnalyzeOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `CompiledMtbdd` has no `Debug`; report its presence only.
-        f.debug_struct("AnalyzeOutcome")
-            .field("engine", &self.engine)
-            .field("failed", &self.failed)
-            .field("cache", &self.cache)
-            .field("compiled", &self.compiled.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 /// Builds the per-request analysis stack (graph, space, knowledge) —
@@ -177,7 +165,7 @@ fn reward_spec(m: &ParsedModel) -> Option<RewardSpec> {
 }
 
 /// Runs one analyze request: evaluate `cached` when present, otherwise
-/// compile-first-then-degrade under the request budget.
+/// run the guarded ladder under the request budget.
 ///
 /// # Errors
 ///
@@ -190,64 +178,33 @@ pub fn analyze_model(
     recorder: Option<&dyn Recorder>,
 ) -> Result<AnalyzeOutcome, String> {
     with_stack(m, params, recorder, |analysis, space| {
-        let mut descents: Vec<(String, String)> = Vec::new();
-        let mut estimate = None;
-        let mut cache = CacheStatus::Miss;
-        let mut compiled_out: Option<Arc<CompiledMtbdd>> = None;
-        let mut compile_ns = 0u64;
-        let eval_start;
-
-        let (dist, engine) = if let Some(compiled) = cached {
-            cache = CacheStatus::Hit;
-            eval_start = Instant::now();
-            (compiled.distribution(), "mtbdd".to_string())
+        let start = Instant::now();
+        let cache = if cached.is_some() {
+            CacheStatus::Hit
         } else {
-            let start = Instant::now();
-            let guard = BudgetGuard::new(&params.budget);
-            match analysis.try_compile_mtbdd_guarded(&guard) {
-                Ok(compiled) => {
-                    compile_ns = start.elapsed().as_nanos() as u64;
-                    eval_start = Instant::now();
-                    let compiled = Arc::new(compiled);
-                    let dist = compiled.distribution();
-                    compiled_out = Some(compiled);
-                    (dist, "mtbdd".to_string())
-                }
-                Err(reason) => {
-                    compile_ns = start.elapsed().as_nanos() as u64;
-                    eval_start = Instant::now();
-                    descents.push(("mtbdd".to_string(), reason.to_string()));
-                    // Charge the failed compile against the request
-                    // deadline before entering the ladder, so the two
-                    // stages together stay within one budget.
-                    let mut budget = params.budget;
-                    if let Some(d) = budget.deadline {
-                        budget.deadline = Some(
-                            d.saturating_sub(start.elapsed())
-                                .max(Duration::from_millis(1)),
-                        );
-                    }
-                    // The refusal above is the MTBDD rung's descent, so
-                    // the ladder skips that rung instead of compiling
-                    // the same diagram again.
-                    let report = analysis.analyze_guarded_without_mtbdd(&GuardedOptions {
-                        budget,
-                        samples: params.samples,
-                        seed: params.seed,
-                        threads: params.threads,
-                        ..GuardedOptions::default()
-                    });
-                    descents.extend(
-                        report
-                            .descents
-                            .iter()
-                            .map(|d| (d.engine.name().to_string(), d.reason.to_string())),
-                    );
-                    estimate = report.estimate;
-                    (report.distribution, report.engine.name().to_string())
-                }
-            }
+            CacheStatus::Miss
         };
+        let report = match cached {
+            // A hit evaluates the cached diagram: nothing is compiled,
+            // and nothing new goes back to the cache.
+            Some(compiled) => AnalysisReport {
+                distribution: compiled.distribution(),
+                engine: EngineKind::Mtbdd,
+                descents: Vec::new(),
+                estimate: None,
+                compiled: None,
+                compile_time: Duration::ZERO,
+            },
+            None => analysis.analyze_guarded(&GuardedOptions {
+                budget: params.budget,
+                samples: params.samples,
+                seed: params.seed,
+                threads: params.threads,
+                ..GuardedOptions::default()
+            }),
+        };
+        let dist = &report.distribution;
+        let compile_ns = report.compile_time.as_nanos() as u64;
 
         let configurations: Vec<(String, f64)> = dist
             .ranked()
@@ -273,9 +230,13 @@ pub fn analyze_model(
             }
         }
         AnalyzeOutcome {
-            engine,
-            descents,
-            estimate,
+            engine: report.engine.name().to_string(),
+            descents: report
+                .descents
+                .iter()
+                .map(|d| (d.engine.name().to_string(), d.reason.to_string()))
+                .collect(),
+            estimate: report.estimate,
             failed: dist.failed_probability(),
             states: dist.states_explored(),
             components: space.len(),
@@ -284,9 +245,9 @@ pub fn analyze_model(
             reward,
             reward_error,
             cache,
-            compiled: compiled_out,
+            compiled: report.compiled,
             compile_ns,
-            eval_ns: eval_start.elapsed().as_nanos() as u64,
+            eval_ns: (start.elapsed().as_nanos() as u64).saturating_sub(compile_ns),
         }
     })
 }
@@ -307,7 +268,7 @@ pub struct SweepParams {
 }
 
 /// The outcome of one sweep request.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Compiled-diagram size backing the sweep.
     pub nodes: usize,
@@ -321,17 +282,6 @@ pub struct SweepOutcome {
     pub compile_ns: u64,
     /// Wall-clock nanoseconds spent evaluating the sweep points.
     pub eval_ns: u64,
-}
-
-impl std::fmt::Debug for SweepOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepOutcome")
-            .field("nodes", &self.nodes)
-            .field("points", &self.points.len())
-            .field("cache", &self.cache)
-            .field("compiled", &self.compiled.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 /// Runs one sweep request over the cached (or freshly compiled)
@@ -579,6 +529,67 @@ mod tests {
         let engines: Vec<&str> = out.descents.iter().map(|(e, _)| e.as_str()).collect();
         assert_eq!(engines, ["mtbdd"], "the refused compile is the one descent");
         assert!(out.compile_ns > 0, "the refused compile is attributed");
+    }
+
+    #[test]
+    fn cold_analyze_is_one_guarded_ladder_whose_diagram_answers_hits() {
+        let m = parse(MANAGED).unwrap();
+        let roomy = AnalyzeParams::default();
+        let mut refused = AnalyzeParams::default();
+        refused.budget.max_mtbdd_nodes = 1;
+        let mut starved = AnalyzeParams {
+            samples: 2_000,
+            ..AnalyzeParams::default()
+        };
+        starved.budget.max_states = 1;
+        let mut engines = Vec::new();
+        for mut params in [roomy, refused, starved] {
+            // No deadline trips: every descent reason and the sampled
+            // estimate are then fixed by the budget, seed and samples.
+            params.budget.deadline = None;
+            let cold = analyze_model(&m, &params, None, None).unwrap();
+            let direct = with_stack(&m, &params, None, |analysis, _| {
+                analysis.analyze_guarded(&GuardedOptions {
+                    budget: params.budget,
+                    samples: params.samples,
+                    seed: params.seed,
+                    threads: params.threads,
+                    ..GuardedOptions::default()
+                })
+            })
+            .unwrap();
+            assert_eq!(cold.cache, CacheStatus::Miss);
+            assert_eq!(cold.engine, direct.engine.name());
+            let descents: Vec<(String, String)> = direct
+                .descents
+                .iter()
+                .map(|d| (d.engine.name().to_string(), d.reason.to_string()))
+                .collect();
+            assert_eq!(cold.descents, descents, "{}", cold.engine);
+            assert_eq!(cold.estimate, direct.estimate, "{}", cold.engine);
+            let ranked: Vec<(String, f64)> = direct
+                .distribution
+                .ranked()
+                .iter()
+                .map(|(c, p)| (c.label(&m.app), *p))
+                .collect();
+            assert_eq!(cold.configurations, ranked, "{}", cold.engine);
+            assert_eq!(cold.failed, direct.distribution.failed_probability());
+            assert_eq!(cold.states, direct.distribution.states_explored());
+            assert_eq!(cold.compiled.is_some(), direct.compiled.is_some());
+            if let Some(diagram) = cold.compiled.clone() {
+                let hit = analyze_model(&m, &params, Some(diagram), None).unwrap();
+                assert_eq!(hit.cache, CacheStatus::Hit);
+                assert_eq!(hit.engine, cold.engine);
+                assert!(hit.descents.is_empty() && hit.estimate.is_none());
+                assert_eq!(hit.configurations, cold.configurations);
+                assert_eq!(hit.failed, cold.failed);
+                assert_eq!(hit.states, cold.states);
+                assert_eq!(hit.reward, cold.reward);
+            }
+            engines.push(cold.engine);
+        }
+        assert_eq!(engines, ["mtbdd", "exact-enumeration", "monte-carlo"]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! architecture, and compares the engines:
 //!
 //! * exact enumeration (while it is still feasible),
-//! * the symbolic BDD engine (exact, `2^(app components)` only),
+//! * the MTBDD engine (exact, `2^(app components)` only),
 //! * Monte Carlo (any size).
 //!
 //! ```text
@@ -58,14 +58,7 @@ fn enterprise(d: usize, k: usize) -> FtlqnModel {
 fn main() {
     println!(
         "{:>4} {:>4} {:>9} {:>11} {:>11} {:>11} {:>12} {:>12}",
-        "dept",
-        "srv",
-        "fallible",
-        "P[f] exact",
-        "P[f] symb",
-        "P[f] mc",
-        "t(symbolic)",
-        "t(mc 100k)"
+        "dept", "srv", "fallible", "P[f] exact", "P[f] mtbdd", "P[f] mc", "t(mtbdd)", "t(mc 100k)"
     );
     for (d, k) in [(1usize, 1usize), (2, 1), (2, 2), (3, 2), (4, 2)] {
         let app = enterprise(d, k);
@@ -89,8 +82,8 @@ fn main() {
             None
         };
         let t0 = Instant::now();
-        let sym = analysis.symbolic();
-        let t_sym = t0.elapsed();
+        let mtbdd = analysis.compile_mtbdd().distribution();
+        let t_mtbdd = t0.elapsed();
         let t0 = Instant::now();
         let mc = analysis.monte_carlo(MonteCarloOptions {
             samples: 100_000,
@@ -101,19 +94,19 @@ fn main() {
         println!(
             "{d:>4} {k:>4} {fallible:>9} {:>11} {:>11.4} {:>11.4} {:>12.1?} {:>12.1?}",
             exact.map_or("-".to_string(), |p| format!("{p:.4}")),
-            sym.failed_probability(),
+            mtbdd.failed_probability(),
             mc.failed_probability(),
-            t_sym,
+            t_mtbdd,
             t_mc,
         );
         if let Some(e) = exact {
             assert!(
-                (e - sym.failed_probability()).abs() < 1e-9,
-                "symbolic must stay exact"
+                (e - mtbdd.failed_probability()).abs() < 1e-9,
+                "the MTBDD must stay exact"
             );
         }
     }
     println!();
-    println!("The symbolic engine stays exact while only enumerating application states;");
+    println!("The MTBDD engine stays exact while only enumerating application states;");
     println!("Monte Carlo scales to arbitrary sizes with ~1/sqrt(n) error.");
 }

@@ -2,7 +2,7 @@
 //! render DOT diagrams, and canonicalise model files.
 //!
 //! ```text
-//! fmperf analyze <model.fmp> [--engine enumerate|parallel|symbolic|mtbdd|montecarlo]
+//! fmperf analyze <model.fmp> [--engine enumerate|parallel|mtbdd|montecarlo|importance|guarded]
 //!                            [--samples N] [--policy any|all]
 //!                            [--unmonitored-known] [--threads N]
 //! fmperf sweep   <model.fmp> --component <name> [--from A] [--to B] [--steps N]
@@ -53,7 +53,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage:
-  fmperf analyze  <model.fmp> [--engine enumerate|parallel|symbolic|mtbdd|montecarlo|importance|guarded]
+  fmperf analyze  <model.fmp> [--engine enumerate|parallel|mtbdd|montecarlo|importance|guarded]
                               [--samples N] [--seed N] [--json] [--policy any|all]
                               [--is-bias X] [--is-mixture X]
                               [--unmonitored-known] [--threads N]
@@ -85,8 +85,8 @@ const USAGE: &str = "usage:
   fmperf fmt      <model.fmp>
 
 `analyze --engine guarded` (implied by any --budget-* flag) runs the
-degradation ladder: exact enumeration, then MTBDD, then the compiled
-bitmask kernel, then sampling with a batch-means 95% CI — whichever
+degradation ladder that `serve` runs too: the MTBDD compile, then the
+exact state scan, then sampling with a batch-means 95% CI — whichever
 first fits the budget.  The sampling rung picks importance sampling
 automatically when the model's smallest failure probability is below
 1e-3.  `--engine importance` forces rare-event importance sampling
@@ -1279,7 +1279,6 @@ fn analyze(
     let dist = match opts.engine.as_str() {
         "enumerate" => analysis.enumerate(),
         "parallel" => analysis.enumerate_parallel(opts.threads),
-        "symbolic" => analysis.symbolic(),
         "mtbdd" => {
             let compiled = analysis.compile_mtbdd();
             let _s = Span::enter(recorder, Phase::MtbddEval);
@@ -1857,10 +1856,10 @@ struct ProfileOptions {
     trace_out: Option<String>,
 }
 
-/// The engines `profile` attempts, in ladder order.  Each gets a fresh
-/// metrics recorder; the trace recorder is shared so `--trace-out`
-/// shows the runs back to back.
-const PROFILE_ENGINES: [&str; 5] = ["exact", "bitmask", "mtbdd", "montecarlo", "importance"];
+/// The engines `profile` attempts: the two exact ones, then the two
+/// samplers.  Each gets a fresh metrics recorder; the trace recorder is
+/// shared so `--trace-out` shows the runs back to back.
+const PROFILE_ENGINES: [&str; 4] = ["exact", "mtbdd", "montecarlo", "importance"];
 
 /// Runs every applicable engine on the model and renders a comparative
 /// phase/counter breakdown.  Inapplicable engines are reported with
@@ -1921,7 +1920,6 @@ fn profile_cmd(
                     1
                 },
             ),
-            "bitmask" => (1, fmperf::core::LANE_WIDTH),
             "mtbdd" => (1, fmperf::bdd::BATCH_LANES),
             "montecarlo" | "importance" => (1, 1),
             _ => unreachable!("PROFILE_ENGINES is exhaustive"),
@@ -1929,12 +1927,6 @@ fn profile_cmd(
         let start = Instant::now();
         let result: Result<ConfigDistribution, String> = match name {
             "exact" => observed.try_enumerate().map_err(|e| e.to_string()),
-            "bitmask" => match observed.compile() {
-                Some(kernel) => Ok(kernel.enumerate()),
-                None => Err(
-                    "not kernel-compilable (over 64 fallible elements or know pairs)".to_string(),
-                ),
-            },
             "mtbdd" => observed
                 .try_compile_mtbdd()
                 .map(|compiled| {
@@ -2208,7 +2200,7 @@ mod tests {
                 "analyze".into(),
                 p.into(),
                 "--engine".into(),
-                "symbolic".into(),
+                "mtbdd".into(),
             ])
             .unwrap();
             let b = run(&[
@@ -2538,7 +2530,6 @@ mod tests {
     fn profile_runs_every_engine() {
         let out = with_model(|p| run(&["profile".into(), p.into()])).unwrap();
         assert!(out.contains("engine exact: ok"), "{out}");
-        assert!(out.contains("engine bitmask: ok"), "{out}");
         assert!(out.contains("engine mtbdd: ok"), "{out}");
         assert!(out.contains("engine montecarlo: ok"), "{out}");
         assert!(out.contains("engine importance: ok"), "{out}");

@@ -1,6 +1,6 @@
 //! Cross-engine agreement: the exact enumerator, the parallel
-//! enumerator, the symbolic (BDD) engine and the Monte Carlo estimator
-//! must tell the same story on every architecture and policy.
+//! enumerator, the MTBDD engine and the Monte Carlo estimator must tell
+//! the same story on every architecture and policy.
 
 use fmperf::core::{Analysis, MonteCarloOptions};
 use fmperf::ftlqn::examples::das_woodside_system;
@@ -32,12 +32,12 @@ fn all_engines_agree_on_all_architectures() {
                 kind.name()
             );
 
-            let sym = analysis.symbolic();
+            let mtbdd = analysis.compile_mtbdd().distribution();
             assert!(
-                exact.max_abs_diff(&sym) < 1e-9,
-                "{}/{policy:?}: symbolic diverges by {}",
+                exact.max_abs_diff(&mtbdd) < 1e-9,
+                "{}/{policy:?}: MTBDD diverges by {}",
                 kind.name(),
-                exact.max_abs_diff(&sym)
+                exact.max_abs_diff(&mtbdd)
             );
 
             let mc = analysis.monte_carlo(MonteCarloOptions {
@@ -65,19 +65,19 @@ fn engines_agree_under_unmonitored_exemption() {
         .with_knowledge(&table)
         .with_unmonitored_known(true);
     let exact = analysis.enumerate();
-    let sym = analysis.symbolic();
+    let mtbdd = analysis.compile_mtbdd().distribution();
     let par = analysis.enumerate_parallel(3);
     let mc = analysis.monte_carlo(MonteCarloOptions {
         samples: 60_000,
         seed: 9,
     });
-    assert!(exact.max_abs_diff(&sym) < 1e-9);
+    assert!(exact.max_abs_diff(&mtbdd) < 1e-9);
     assert!(exact.max_abs_diff(&par) < 1e-12);
     assert!(exact.max_abs_diff(&mc) < 0.01);
 }
 
 #[test]
-fn symbolic_visits_exponentially_fewer_states() {
+fn mtbdd_visits_exponentially_fewer_states() {
     let sys = das_woodside_system();
     let graph = sys.fault_graph().unwrap();
     let mama = arch::hierarchical(&sys, 0.1);
@@ -85,8 +85,16 @@ fn symbolic_visits_exponentially_fewer_states() {
     let table = KnowTable::build(&graph, &mama, &space);
     let analysis = Analysis::new(&graph, &space).with_knowledge(&table);
     let exact = analysis.enumerate();
-    let sym = analysis.symbolic();
+    let compiled = analysis.compile_mtbdd();
+    let mtbdd = compiled.distribution();
     assert_eq!(exact.states_explored(), 262_144);
-    assert_eq!(sym.states_explored(), 256);
-    assert!(exact.max_abs_diff(&sym) < 1e-9);
+    // One evaluation pass visits each diagram node once: fewer nodes
+    // than the 2^8 application states the compile enumerates.
+    assert_eq!(mtbdd.states_explored(), compiled.node_count() as u64);
+    assert!(
+        mtbdd.states_explored() <= 256,
+        "{} nodes",
+        mtbdd.states_explored()
+    );
+    assert!(exact.max_abs_diff(&mtbdd) < 1e-9);
 }

@@ -4,7 +4,7 @@
 //! management planes and analysed under adversarial budgets — expired
 //! deadlines, one-state caps, single-node MTBDD limits, empty memo
 //! allowances.  The ladder's contract: it never panics, it always comes
-//! back with a distribution, and whenever it stays on an exact scan rung
+//! back with a distribution, and whenever the exact scan rung answers
 //! the result is bit-identical to the unguarded engine.
 
 use fmperf::core::{Analysis, AnalysisBudget, EngineKind, GuardedOptions};
@@ -141,7 +141,7 @@ proptest! {
 
     /// The ladder's whole contract in one property: no budget — however
     /// hostile — panics or comes back empty-handed, and the exact scan
-    /// rungs are bit-identical to the unguarded engine.
+    /// rung is bit-identical to the unguarded engine.
     #[test]
     fn any_budget_yields_a_result(p in params(), budget in budgets(), seed in 0u64..1 << 48) {
         let (app, mama) = build(&p);
@@ -170,9 +170,9 @@ proptest! {
             "a CI comes back exactly when sampling ran"
         );
         match report.engine {
-            // The scan rungs share the unguarded dispatch — bit-identical
+            // The scan rung shares the unguarded dispatch — bit-identical
             // to the unguarded twin with the same thread split.
-            EngineKind::Exact | EngineKind::Bitmask => {
+            EngineKind::Exact => {
                 let twin = if threads > 1 {
                     analysis.enumerate_parallel(threads)
                 } else {
@@ -234,7 +234,7 @@ proptest! {
             "expired deadline must land on a sampling rung, got {:?}",
             report.engine
         );
-        prop_assert_eq!(report.descents.len(), 3, "all three exact rungs must decline");
+        prop_assert_eq!(report.descents.len(), 2, "both exact rungs must decline");
         let est = report.estimate.expect("sampling reports an estimate");
         prop_assert!(est.batches >= 2);
         prop_assert!((report.distribution.total_probability() - 1.0).abs() < 1e-9);
@@ -264,7 +264,7 @@ fn tiny_state_cap_degrades_to_sampling() {
         ..GuardedOptions::default()
     });
     assert_eq!(report.engine, EngineKind::MonteCarlo);
-    assert_eq!(report.descents.len(), 3);
+    assert_eq!(report.descents.len(), 2);
     let exact = analysis.enumerate().failed_probability();
     let est = report.estimate.expect("sampling reports an estimate");
     assert!(

@@ -261,7 +261,7 @@ fn guarded_ladder_auto_selects_importance_on_a_rare_plane() {
         ..GuardedOptions::default()
     });
     assert_eq!(report.engine, EngineKind::Importance);
-    assert_eq!(report.descents.len(), 3, "all exact rungs declined");
+    assert_eq!(report.descents.len(), 2, "both exact rungs declined");
     let est = report.estimate.expect("sampling reports an estimate");
     let is = est.is.expect("auto-selected IS records its diagnostics");
     assert_eq!(is.bias, fmperf::core::importance::DEFAULT_BIAS);

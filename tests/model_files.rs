@@ -20,7 +20,8 @@ fn failed_probability(m: &fmperf::text::ParsedModel, unmonitored_known: bool) ->
     Analysis::new(&graph, &space)
         .with_knowledge(&table)
         .with_unmonitored_known(unmonitored_known)
-        .symbolic()
+        .compile_mtbdd()
+        .distribution()
         .failed_probability()
 }
 

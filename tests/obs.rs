@@ -133,7 +133,7 @@ fn degraded_monte_carlo_reports_samples_and_ci() {
             "{:?}",
             report.descents
         );
-        assert_eq!(report.descents.len(), 3);
+        assert_eq!(report.descents.len(), 2);
 
         let est = report.estimate.expect("MC rung always carries an estimate");
         assert_eq!(est.samples, 40_000);

@@ -181,10 +181,10 @@ fn build(p: &Params) -> Scenario {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The symbolic engine is exact: it must agree with brute-force
+    /// The MTBDD engine is exact: it must agree with brute-force
     /// enumeration on every random scenario, under both know policies.
     #[test]
-    fn symbolic_equals_enumeration(p in params()) {
+    fn mtbdd_equals_enumeration(p in params()) {
         let s = build(&p);
         let graph = FaultGraph::build(&s.app).unwrap();
         let space = ComponentSpace::build(&s.app, &s.mama);
@@ -196,12 +196,12 @@ proptest! {
                     .with_policy(policy)
                     .with_unmonitored_known(unmonitored);
                 let exact = analysis.enumerate();
-                let sym = analysis.symbolic();
+                let mtbdd = analysis.compile_mtbdd().distribution();
                 prop_assert!((exact.total_probability() - 1.0).abs() < 1e-9);
                 prop_assert!(
-                    exact.max_abs_diff(&sym) < 1e-9,
+                    exact.max_abs_diff(&mtbdd) < 1e-9,
                     "diff {} under {policy:?}/unmonitored={unmonitored}",
-                    exact.max_abs_diff(&sym)
+                    exact.max_abs_diff(&mtbdd)
                 );
             }
         }
