@@ -1190,7 +1190,7 @@ pub struct ServeRow {
 /// Panics on an unknown case name, if the cold path fails to compile,
 /// or if the hit path disagrees with the cold result.
 pub fn measure_serve(sys: &DasWoodsideSystem, case: &str) -> ServeRow {
-    use fmperf_serve::{analyze_model, AnalyzeParams};
+    use fmperf_serve::{analyze_model, AnalyzeParams, ArtifactCache, CacheKey};
     use std::time::Instant;
     let mama = match case {
         "perfect" => fmperf_mama::MamaModel::new(),
@@ -1211,18 +1211,21 @@ pub fn measure_serve(sys: &DasWoodsideSystem, case: &str) -> ServeRow {
         ..AnalyzeParams::default()
     };
 
-    let reference = analyze_model(&m, &params, None, None).expect("cold analyze");
+    // A zero-capacity cache never answers, so every request through it
+    // is cold; the warm cache holds the reference request's diagram.
+    let key = CacheKey::new(case, params.policy, params.unmonitored_known);
+    let no_cache = ArtifactCache::new(0);
+    let warm = ArtifactCache::new(usize::MAX);
+    let reference = analyze_model(&m, &params, &warm, &key, None).expect("cold analyze");
     assert_eq!(reference.engine, "mtbdd", "{case}: cold path must compile");
-    let artifact = reference
-        .compiled
-        .clone()
-        .expect("cold path yields artifact");
+    let artifact = warm.get(&key).expect("cold path yields artifact");
 
     let mut cold_ns = u128::MAX;
     let mut hit_ns = u128::MAX;
     for _ in 0..GUARDED_REPS {
         let t0 = Instant::now();
-        let cold = std::hint::black_box(analyze_model(&m, &params, None, None)).expect("cold");
+        let cold =
+            std::hint::black_box(analyze_model(&m, &params, &no_cache, &key, None)).expect("cold");
         cold_ns = cold_ns.min(t0.elapsed().as_nanos());
         assert_eq!(
             cold.failed, reference.failed,
@@ -1230,13 +1233,7 @@ pub fn measure_serve(sys: &DasWoodsideSystem, case: &str) -> ServeRow {
         );
 
         let t0 = Instant::now();
-        let hit = std::hint::black_box(analyze_model(
-            &m,
-            &params,
-            Some(std::sync::Arc::clone(&artifact)),
-            None,
-        ))
-        .expect("hit");
+        let hit = std::hint::black_box(analyze_model(&m, &params, &warm, &key, None)).expect("hit");
         hit_ns = hit_ns.min(t0.elapsed().as_nanos());
         assert_eq!(hit.failed, reference.failed, "{case}: hit must match cold");
     }

@@ -137,6 +137,13 @@ pub enum AnalysisError {
         /// Common-cause group count (0 without dependencies).
         groups: usize,
     },
+    /// The MTBDD build is structurally infeasible: it enumerates one
+    /// region per application-state cube, and its region index is built
+    /// for at most 30 fallible application components.
+    TooManyApplicationComponents {
+        /// Fallible application component count.
+        application: usize,
+    },
     /// The enumeration (or MTBDD region) count exceeds the budget.
     StateCapExceeded {
         /// States the engine would have to visit.
@@ -199,6 +206,11 @@ impl std::fmt::Display for AnalysisError {
                     )
                 }
             }
+            AnalysisError::TooManyApplicationComponents { application } => write!(
+                f,
+                "{application} fallible application components exceed the MTBDD's 30-bit \
+                 region-enumeration limit"
+            ),
             AnalysisError::StateCapExceeded { states, max_states } => {
                 write!(f, "{states} states exceed the budget of {max_states}")
             }
@@ -243,6 +255,8 @@ pub struct BudgetGuard {
     /// The error that caused cancellation (set by the tripping worker so
     /// siblings report the true reason, not a generic cancellation).
     cause: OnceLock<AnalysisError>,
+    /// See [`with_refused_node_cap`](BudgetGuard::with_refused_node_cap).
+    refused_node_cap: Option<usize>,
 }
 
 impl BudgetGuard {
@@ -257,7 +271,28 @@ impl BudgetGuard {
                 .map(|d| start.checked_add(d).unwrap_or(start)),
             cancelled: AtomicBool::new(false),
             cause: OnceLock::new(),
+            refused_node_cap: None,
         }
+    }
+
+    /// Remembers the node cap an earlier MTBDD build of the same
+    /// analysis was refused under (`None`: nothing remembered).  A
+    /// compile under this guard whose `max_mtbdd_nodes` is at most that
+    /// cap refuses with [`AnalysisError::NodeCapExceeded`] where its
+    /// allocation would begin, after the application-bit and
+    /// region-count checks: the build is deterministic, so it would
+    /// allocate the same nodes and trip a cap that low again.
+    #[must_use]
+    pub fn with_refused_node_cap(mut self, refused: Option<usize>) -> BudgetGuard {
+        self.refused_node_cap = refused;
+        self
+    }
+
+    /// Is this guard's node cap at most a remembered refusal's, so an
+    /// MTBDD build is refused without being attempted?
+    pub(crate) fn node_cap_refused(&self) -> bool {
+        self.refused_node_cap
+            .is_some_and(|cap| self.budget.max_mtbdd_nodes <= cap)
     }
 
     /// The budget this guard enforces.
@@ -424,6 +459,12 @@ pub struct GuardedOptions {
     /// Defensive-mixture weight if the sampling rung selects importance
     /// sampling (see [`crate::importance::DEFAULT_MIXTURE`]).
     pub is_mixture: f64,
+    /// The node cap an earlier MTBDD build of this same analysis was
+    /// refused under, for callers that remember refusals across runs
+    /// (the daemon's artifact cache).  A budget whose `max_mtbdd_nodes`
+    /// is at most this lists the same refusal without building, with
+    /// `compile_time` zero; see [`BudgetGuard::with_refused_node_cap`].
+    pub refused_node_cap: Option<usize>,
 }
 
 impl Default for GuardedOptions {
@@ -435,6 +476,7 @@ impl Default for GuardedOptions {
             threads: 1,
             is_bias: crate::importance::DEFAULT_BIAS,
             is_mixture: crate::importance::DEFAULT_MIXTURE,
+            refused_node_cap: None,
         }
     }
 }
@@ -445,12 +487,18 @@ impl Analysis<'_> {
     /// compile, then the exact scan, then importance sampling or Monte
     /// Carlo with batch-means confidence intervals.
     pub fn analyze_guarded(&self, opts: &GuardedOptions) -> AnalysisReport {
-        let guard = BudgetGuard::new(&opts.budget);
+        let guard = BudgetGuard::new(&opts.budget).with_refused_node_cap(opts.refused_node_cap);
         let mut descents = Vec::new();
 
         let compile_start = Instant::now();
         let compiled = self.try_compile_mtbdd_guarded(&guard);
-        let compile_time = compile_start.elapsed();
+        // A refusal remembered from an earlier build compiled nothing.
+        let compile_time = match compiled {
+            Err(AnalysisError::NodeCapExceeded { .. }) if guard.node_cap_refused() => {
+                Duration::ZERO
+            }
+            _ => compile_start.elapsed(),
+        };
         match compiled {
             Ok(compiled) => {
                 return AnalysisReport {
@@ -808,6 +856,22 @@ mod tests {
         assert!(AnalysisError::NodeCapExceeded { max_nodes: 64 }
             .to_string()
             .contains("node budget of 64"));
+        // The MTBDD and the scan refuse for their own limits.
+        let mtbdd = AnalysisError::TooManyApplicationComponents { application: 128 }.to_string();
+        assert!(
+            mtbdd.contains("128 fallible application components"),
+            "{mtbdd}"
+        );
+        assert!(mtbdd.contains("MTBDD"), "{mtbdd}");
+        let scan = AnalysisError::TooManyComponents {
+            fallible: 202,
+            groups: 0,
+        }
+        .to_string();
+        assert_eq!(
+            scan,
+            "202 fallible components exceed the 30-bit exact-enumeration limit"
+        );
         assert!(AnalysisError::Sweep(SweepError::BoundOutOfRange)
             .to_string()
             .contains("[0, 1]"));

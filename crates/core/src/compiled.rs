@@ -623,17 +623,23 @@ struct EvalContext {
     know: Option<CompiledKnowTable>,
 }
 
-/// Shared accumulation state of one kernel run: interned configurations,
-/// their probability sums, and the scratch state vector for memo misses.
-struct Accumulator {
+/// Shared accumulation state of one kernel run (or of one wide-sampler
+/// run, see [`FailureSetMemo`](crate::montecarlo::FailureSetMemo)):
+/// interned configurations, their probability sums, and the scratch
+/// state vector for memo misses.
+pub(crate) struct Accumulator {
     ids: BTreeMap<Configuration, u32>,
     configs: Vec<Configuration>,
-    sums: Vec<f64>,
-    state: Vec<bool>,
+    /// Probability mass per configuration id, added in state (or
+    /// sample) order.
+    pub(crate) sums: Vec<f64>,
+    /// All-up scratch state: a miss sets its down components, evaluates
+    /// and restores them.
+    pub(crate) state: Vec<bool>,
 }
 
 impl Accumulator {
-    fn new(space: &ComponentSpace) -> Accumulator {
+    pub(crate) fn new(space: &ComponentSpace) -> Accumulator {
         Accumulator {
             ids: BTreeMap::new(),
             configs: Vec::new(),
@@ -642,10 +648,44 @@ impl Accumulator {
         }
     }
 
+    /// The id of `config`, interned with a zero sum on first sight.
+    pub(crate) fn intern(&mut self, config: Configuration) -> u32 {
+        match self.ids.get(&config) {
+            Some(&id) => id,
+            None => {
+                let id = self.configs.len() as u32;
+                self.ids.insert(config.clone(), id);
+                self.configs.push(config);
+                self.sums.push(0.0);
+                id
+            }
+        }
+    }
+
     fn into_distribution(self, states_explored: u64) -> ConfigDistribution {
         let mut dist = ConfigDistribution::new();
         for (config, sum) in self.configs.into_iter().zip(self.sums) {
             dist.add(config, sum);
+        }
+        dist.set_states_explored(states_explored);
+        dist
+    }
+
+    /// Ends one batch of a run whose ids outlive the batch: the
+    /// distribution of the configurations flagged in `reached` (the ones
+    /// the batch sampled; a per-batch accumulator would have interned no
+    /// other) with their sums.  Clears the flags and the sums for the
+    /// next batch; every id stays interned.
+    pub(crate) fn take_reached(
+        &mut self,
+        reached: &mut [bool],
+        states_explored: u64,
+    ) -> ConfigDistribution {
+        let mut dist = ConfigDistribution::new();
+        for (id, reached) in reached.iter_mut().enumerate() {
+            if std::mem::take(reached) {
+                dist.add(self.configs[id].clone(), std::mem::take(&mut self.sums[id]));
+            }
         }
         dist.set_states_explored(states_explored);
         dist
@@ -1552,16 +1592,7 @@ impl CompiledKernel<'_> {
                 config
             }
         };
-        match acc.ids.get(&config) {
-            Some(&id) => id,
-            None => {
-                let id = acc.configs.len() as u32;
-                acc.ids.insert(config.clone(), id);
-                acc.configs.push(config);
-                acc.sums.push(0.0);
-                id
-            }
-        }
+        acc.intern(config)
     }
 
     /// Samples `samples` random states and estimates the distribution;
@@ -1600,23 +1631,21 @@ impl CompiledKernel<'_> {
 
     /// Importance-sampled twin of
     /// [`monte_carlo_run`](CompiledKernel::monte_carlo_run): draws states
-    /// from the defensive mixture `λ·p + (1−λ)·q` of the nominal per-bit
-    /// up probabilities `p` (`self.up`) and the biased proposal `q`
-    /// (`proposal_up`, same bit order), and accumulates each sample under
-    /// its exact likelihood-ratio weight `p(x)/q_mix(x)`.
+    /// from `proposal`'s defensive mixture (built over this kernel's bit
+    /// order) and accumulates each sample under its exact
+    /// likelihood-ratio weight.  [`Proposal::draw`] fixes the RNG
+    /// consumption order for every importance sampler, so a given seed
+    /// yields bit-identical weighted estimates on this path and the wide
+    /// one.
     ///
-    /// The RNG consumption order — one mixture-branch draw, then one draw
-    /// per bit of `self.up` — matches
-    /// [`Analysis::importance_naive`](crate::importance) exactly, so a
-    /// given seed yields bit-identical weighted estimates on either path.
+    /// [`Proposal::draw`]: crate::importance::Proposal::draw
     pub(crate) fn importance_run(
         &self,
         rng: &mut impl rand::Rng,
         samples: u64,
-        proposal_up: &[f64],
-        mixture: f64,
+        proposal: &crate::importance::Proposal,
     ) -> crate::importance::WeightedRun {
-        debug_assert_eq!(proposal_up.len(), self.up.len());
+        debug_assert_eq!(proposal.bit_count(), self.up.len());
         let mut fc = ScanFlush {
             rec: self.analysis.recorder,
             c: ScanCounters::default(),
@@ -1627,22 +1656,12 @@ impl CompiledKernel<'_> {
         let mut weight_sum = 0.0;
         let mut weight_sq_sum = 0.0;
         for _ in 0..samples {
-            let nominal = rng.gen::<f64>() < mixture;
             let mut word = 0u64;
-            let mut log_p = 0.0;
-            let mut log_q = 0.0;
-            for (b, (&p, &q)) in self.up.iter().zip(proposal_up).enumerate() {
-                let draw = if nominal { p } else { q };
-                if rng.gen::<f64>() < draw {
+            let w = proposal.draw(rng, |b, up| {
+                if up {
                     word |= 1u64 << b;
-                    log_p += p.ln();
-                    log_q += q.ln();
-                } else {
-                    log_p += (1.0 - p).ln();
-                    log_q += (1.0 - q).ln();
                 }
-            }
-            let w = crate::importance::likelihood_ratio(log_p, log_q, mixture);
+            });
             let answers = self
                 .know
                 .as_ref()

@@ -30,14 +30,15 @@
 //! Samples are resolved through the compiled kernel's masked evaluator
 //! and flat decision memo whenever the model compiles (≤ 64 fallible
 //! components); larger models — the 50–500-component synthesized planes
-//! this engine exists for — fall back to the canonical per-state
-//! evaluator, consuming the RNG in exactly the same order so estimates
-//! are seed-reproducible on either path.
+//! this engine exists for — go through the wide samplers' failure-set
+//! memo (`montecarlo::FailureSetMemo`), which runs the canonical
+//! evaluator once per distinct sampled failure set.  Both paths draw
+//! through one `Proposal::draw`, so estimates are seed-reproducible and
+//! bit-identical on either path.
 
-use crate::analysis::{Analysis, Knowledge};
+use crate::analysis::Analysis;
 use crate::budget::{AnalysisError, BudgetGuard, EstimateInfo, IsInfo};
 use crate::distribution::ConfigDistribution;
-use fmperf_ftlqn::PerfectKnowledge;
 use fmperf_obs::{Counter, Phase, Span};
 use fmperf_sim::BatchMeans;
 use rand::rngs::StdRng;
@@ -156,6 +157,85 @@ pub fn proposal_up(nominal_up: &[f64], bias: f64) -> Vec<f64> {
         .collect()
 }
 
+/// One bit of a [`Proposal`]: its nominal (`p`) and proposal (`q`) up
+/// probabilities and the log factors a draw adds to the nominal and
+/// proposal log densities.
+#[derive(Debug, Clone, Copy)]
+struct BitFactors {
+    p: f64,
+    q: f64,
+    ln_p: f64,
+    ln_q: f64,
+    ln_not_p: f64,
+    ln_not_q: f64,
+}
+
+/// The sampling measure of one importance-sampling run: per fallible
+/// bit, the nominal and [`proposal_up`] probabilities with their log
+/// factors, built once per run instead of once per component per
+/// sample, and the defensive-mixture weight.
+#[derive(Debug, Clone)]
+pub(crate) struct Proposal {
+    bits: Vec<BitFactors>,
+    mixture: f64,
+}
+
+impl Proposal {
+    /// The proposal over `nominal_up` (one entry per fallible bit) for
+    /// failure-biasing strength `bias` and mixture weight `mixture`
+    /// (already clamped to `[0, 1]`).
+    pub(crate) fn new(nominal_up: &[f64], bias: f64, mixture: f64) -> Proposal {
+        let q_up = proposal_up(nominal_up, bias);
+        Proposal {
+            bits: nominal_up
+                .iter()
+                .zip(&q_up)
+                .map(|(&p, &q)| BitFactors {
+                    p,
+                    q,
+                    ln_p: p.ln(),
+                    ln_q: q.ln(),
+                    ln_not_p: (1.0 - p).ln(),
+                    ln_not_q: (1.0 - q).ln(),
+                })
+                .collect(),
+            mixture,
+        }
+    }
+
+    /// Number of fallible bits.
+    pub(crate) fn bit_count(&self) -> usize {
+        self.bits.len()
+    }
+
+    /// Draws one state from the mixture `λ·p + (1−λ)·q`, reporting each
+    /// bit's outcome (`true` = up) to `bit` in bit order, and returns
+    /// its likelihood-ratio weight `p(x)/q_mix(x)`.
+    ///
+    /// The RNG order — one mixture-branch draw, then one draw per bit —
+    /// is the one every importance sampler shares, so a seed yields the
+    /// same states and weights on the kernel and the wide path.
+    #[inline]
+    pub(crate) fn draw(&self, rng: &mut impl Rng, mut bit: impl FnMut(usize, bool)) -> f64 {
+        let nominal = rng.gen::<f64>() < self.mixture;
+        let mut log_p = 0.0;
+        let mut log_q = 0.0;
+        for (b, f) in self.bits.iter().enumerate() {
+            let draw = if nominal { f.p } else { f.q };
+            if rng.gen::<f64>() < draw {
+                log_p += f.ln_p;
+                log_q += f.ln_q;
+                bit(b, true);
+            } else {
+                log_p += f.ln_not_p;
+                log_q += f.ln_not_q;
+                bit(b, false);
+            }
+        }
+        likelihood_ratio(log_p, log_q, self.mixture)
+    }
+}
+
 impl Analysis<'_> {
     /// Estimates the configuration distribution by importance sampling
     /// with [`IS_BATCHES`] batches and no budget guard.  Works for any
@@ -197,14 +277,34 @@ impl Analysis<'_> {
         guard: Option<&BudgetGuard>,
     ) -> ImportanceEstimate {
         let _span = Span::enter(self.recorder, Phase::Sampling);
+        let mixture = options.mixture.clamp(0.0, 1.0);
+        let nominal_up: Vec<f64> = self
+            .space
+            .fallible_indices()
+            .iter()
+            .map(|&ix| self.space.up_prob(ix))
+            .collect();
+        let proposal = Proposal::new(&nominal_up, options.bias, mixture);
+        let mut sampler = self.sampler(guard);
+        self.pool_importance(options, mixture, batches, guard, |rng, n| {
+            sampler.importance_run(rng, n, &proposal)
+        })
+    }
+
+    /// The batching and pooling of
+    /// [`importance_batched`](Analysis::importance_batched) around
+    /// `run`, which draws one batch of `n` weighted samples.
+    pub(crate) fn pool_importance(
+        &self,
+        options: ImportanceOptions,
+        mixture: f64,
+        batches: u64,
+        guard: Option<&BudgetGuard>,
+        mut run: impl FnMut(&mut StdRng, u64) -> WeightedRun,
+    ) -> ImportanceEstimate {
         let batches = batches.max(2);
         let per_batch = (options.samples / batches).max(1);
-        let mixture = options.mixture.clamp(0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let kernel = self.compile();
-        let fallible = self.space.fallible_indices();
-        let nominal_up: Vec<f64> = fallible.iter().map(|&ix| self.space.up_prob(ix)).collect();
-        let q_up = proposal_up(&nominal_up, options.bias);
         let mut bm = BatchMeans::new();
         let mut merged = ConfigDistribution::new();
         let mut weight_sum = 0.0;
@@ -223,10 +323,7 @@ impl Analysis<'_> {
                     }
                 }
             }
-            let run = match &kernel {
-                Some(k) => k.importance_run(&mut rng, per_batch, &q_up, mixture),
-                None => self.importance_naive(&mut rng, per_batch, &nominal_up, &q_up, mixture),
-            };
+            let run = run(&mut rng, per_batch);
             // Self-normalize the batch by its mean weight so the batch
             // distribution is a distribution (total exactly 1), like the
             // plain estimator's batches.  The raw mass — whose
@@ -291,73 +388,12 @@ impl Analysis<'_> {
             failed_half_width_99: ci99.half_width,
         }
     }
-
-    /// The allocating per-sample weighted estimator — the reference path
-    /// the compiled kernel's importance sampler is differentially tested
-    /// against, and the only path for models beyond 64 fallible
-    /// components.
-    fn importance_naive(
-        &self,
-        rng: &mut StdRng,
-        samples: u64,
-        nominal_up: &[f64],
-        q_up: &[f64],
-        mixture: f64,
-    ) -> WeightedRun {
-        let fallible = self.space.fallible_indices();
-        let mut dist = ConfigDistribution::new();
-        let mut state = self.space.all_up();
-        let inv = 1.0 / samples as f64;
-        let mut weight_sum = 0.0;
-        let mut weight_sq_sum = 0.0;
-        for _ in 0..samples {
-            let nominal = rng.gen::<f64>() < mixture;
-            let mut log_p = 0.0;
-            let mut log_q = 0.0;
-            for (b, &ix) in fallible.iter().enumerate() {
-                let p = nominal_up[b];
-                let q = q_up[b];
-                let draw = if nominal { p } else { q };
-                let up = rng.gen::<f64>() < draw;
-                state[ix] = up;
-                if up {
-                    log_p += p.ln();
-                    log_q += q.ln();
-                } else {
-                    log_p += (1.0 - p).ln();
-                    log_q += (1.0 - q).ln();
-                }
-            }
-            let w = likelihood_ratio(log_p, log_q, mixture);
-            let config = match self.knowledge {
-                Knowledge::Perfect => {
-                    self.graph
-                        .configuration(&state, &PerfectKnowledge, self.policy)
-                }
-                Knowledge::Mama(table) => {
-                    let oracle = table
-                        .oracle(&state)
-                        .default_for_missing(self.unmonitored_known);
-                    self.graph.configuration(&state, &oracle, self.policy)
-                }
-            };
-            dist.add(config, w * inv);
-            weight_sum += w;
-            weight_sq_sum += w * w;
-        }
-        dist.set_states_explored(samples);
-        fmperf_obs::add(self.recorder, Counter::MonteCarloSamples, samples);
-        WeightedRun {
-            distribution: dist,
-            weight_sum,
-            weight_sq_sum,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::reference;
     use fmperf_ftlqn::examples::das_woodside_system;
     use fmperf_mama::{arch, ComponentSpace, KnowTable};
 
@@ -404,39 +440,23 @@ mod tests {
             seed: 42,
             ..ImportanceOptions::default()
         };
-        // The kernel path consumed by `importance` vs the explicit naive
-        // path with the same seed: weighted estimates must be equal, not
-        // merely close.
+        // The kernel path consumed by `importance` vs the per-state
+        // reference loop with the same seed: weighted estimates must be
+        // equal, not merely close.
         let compiled = analysis.importance(options);
-        let fallible = analysis.space.fallible_indices();
-        let nominal_up: Vec<f64> = fallible
+        let nominal_up: Vec<f64> = analysis
+            .space
+            .fallible_indices()
             .iter()
             .map(|&ix| analysis.space.up_prob(ix))
             .collect();
         let q_up = proposal_up(&nominal_up, options.bias);
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let per_batch = options.samples / IS_BATCHES;
-        let mut merged = ConfigDistribution::new();
-        let mut wsum = 0.0;
-        let mut wsq = 0.0;
-        for _ in 0..IS_BATCHES {
-            let run =
-                analysis.importance_naive(&mut rng, per_batch, &nominal_up, &q_up, options.mixture);
-            let scale = per_batch as f64 / run.weight_sum;
-            for (config, p) in run.distribution.iter() {
-                merged.add(config.clone(), p * scale);
-            }
-            wsum += run.weight_sum;
-            wsq += run.weight_sq_sum;
-        }
-        let mut naive = ConfigDistribution::new();
-        for (config, p) in merged.iter() {
-            naive.add(config.clone(), p / IS_BATCHES as f64);
-        }
-        naive.set_states_explored(per_batch * IS_BATCHES);
-        assert_eq!(compiled.distribution, naive);
-        let is = compiled.info.is.unwrap();
-        assert_eq!(is.ess, wsum * wsum / wsq);
+        let naive =
+            analysis.pool_importance(options, options.mixture, IS_BATCHES, None, |rng, n| {
+                reference::importance(&analysis, rng, n, &nominal_up, &q_up, options.mixture)
+            });
+        assert_eq!(compiled.distribution, naive.distribution);
+        assert_eq!(compiled.info, naive.info);
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl Analysis<'_> {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::TooManyComponents`] when more than 30
+    /// [`AnalysisError::TooManyApplicationComponents`] when more than 30
     /// *application* components are fallible.
     pub fn try_compile_mtbdd(&self) -> Result<CompiledMtbdd, AnalysisError> {
         self.compile_mtbdd_fallible(None, None)
@@ -113,7 +113,7 @@ impl Analysis<'_> {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::TooManyComponents`],
+    /// [`AnalysisError::TooManyApplicationComponents`],
     /// [`AnalysisError::StateCapExceeded`],
     /// [`AnalysisError::DeadlineExpired`] or
     /// [`AnalysisError::NodeCapExceeded`].
@@ -213,9 +213,8 @@ impl Analysis<'_> {
             .filter(|&ix| ix < space.app_count() && !forced.contains(&ix))
             .collect();
         if app_fallible.len() > 30 {
-            return Err(AnalysisError::TooManyComponents {
-                fallible: app_fallible.len(),
-                groups: 0,
+            return Err(AnalysisError::TooManyApplicationComponents {
+                application: app_fallible.len(),
             });
         }
         if let Some(g) = budget {
@@ -228,6 +227,13 @@ impl Analysis<'_> {
                     states: u64::try_from(regions.min(u128::from(u64::MAX)))
                         .expect("invariant: value clamped to u64::MAX"),
                     max_states: g.budget().max_states,
+                });
+            }
+            // The build would allocate from here on; a cap no roomier
+            // than one it was already refused under cannot fit it.
+            if g.node_cap_refused() {
+                return Err(AnalysisError::NodeCapExceeded {
+                    max_nodes: g.budget().max_mtbdd_nodes,
                 });
             }
         }

@@ -5,8 +5,9 @@
 use crate::distribution::ConfigDistribution;
 use fmperf_ftlqn::lower::lower;
 use fmperf_ftlqn::{Configuration, FtTaskId, FtlqnModel, LoweredLqn};
-use fmperf_lqn::{SolveError, SolverOptions};
-use std::collections::BTreeMap;
+use fmperf_lqn::{Solution, SolveError, SolverOptions, StructureKey};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// Reward weights per user group: `R_i = Σ_j w_j · f_{i,j}` (paper §6.3).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -60,7 +61,9 @@ impl ConfigPerformance {
 /// solver options.
 ///
 /// The failed configuration gets zero throughputs without solving.
-/// Results align index-wise with `configs`.
+/// Configurations whose lowered LQNs differ at most in names share one
+/// solve (see [`solve_configurations_with`]).  Results align index-wise
+/// with `configs`.
 ///
 /// # Errors
 ///
@@ -75,16 +78,26 @@ pub fn solve_configurations(
 
 /// [`solve_configurations`] with explicit LQN solver options.
 ///
+/// Each configuration is lowered to its own LQN, but each distinct
+/// [`StructureKey`] is solved once per call: configurations that select
+/// alternatives of identical shape (same multiplicities, demands and
+/// calls under different names) share one [`Solution`], and each reads
+/// its chains' throughputs through its own lowering's task map.  The
+/// solver never reads a name, so every result is bit-identical to
+/// solving each configuration on its own.
+///
 /// # Errors
 ///
 /// Propagates LQN solver failures, tagged with the offending
-/// configuration index.
+/// configuration index (the first configuration with that structure, as
+/// when every configuration is solved).
 pub fn solve_configurations_with(
     model: &FtlqnModel,
     configs: &[Configuration],
     options: SolverOptions,
 ) -> Result<Vec<ConfigPerformance>, ConfigSolveError> {
     let chains: Vec<FtTaskId> = model.reference_tasks().collect();
+    let mut solved: HashMap<StructureKey, Solution> = HashMap::new();
     let mut out = Vec::with_capacity(configs.len());
     for (ix, config) in configs.iter().enumerate() {
         let mut perf = ConfigPerformance::default();
@@ -96,12 +109,17 @@ pub fn solve_configurations_with(
                 config_index: ix,
                 message: e.to_string(),
             })?;
-            let sol = options
-                .solve(&lowered.model)
-                .map_err(|e: SolveError| ConfigSolveError {
-                    config_index: ix,
-                    message: e.to_string(),
-                })?;
+            let sol = match solved.entry(lowered.model.structure_key()) {
+                Entry::Occupied(hit) => hit.into_mut(),
+                Entry::Vacant(slot) => {
+                    slot.insert(options.solve(&lowered.model).map_err(|e: SolveError| {
+                        ConfigSolveError {
+                            config_index: ix,
+                            message: e.to_string(),
+                        }
+                    })?)
+                }
+            };
             for &c in &chains {
                 if let Some(lt) = lowered.task(c) {
                     perf.throughputs.insert(c, sol.task_throughput(lt));

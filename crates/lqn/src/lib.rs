@@ -54,7 +54,7 @@ pub mod solution;
 
 pub use layered::{solve, SolveError, SolverOptions};
 pub use model::{
-    Call, Entry, EntryId, LqnModel, ModelError, Multiplicity, Phase, Processor, ProcessorId, Task,
-    TaskId, TaskKind,
+    Call, Entry, EntryId, LqnModel, ModelError, Multiplicity, Phase, Processor, ProcessorId,
+    StructureKey, Task, TaskId, TaskKind,
 };
 pub use solution::Solution;

@@ -261,6 +261,14 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+/// The name-free structure of an [`LqnModel`] (see
+/// [`LqnModel::structure_key`]): processor multiplicities; each task's
+/// processor, multiplicity and kind with its think time; each entry's
+/// task, phase-1 and phase-2 demands and calls (target, mean calls,
+/// phase); floats by bit pattern.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StructureKey(Vec<u64>);
+
 /// A layered queueing network model.
 ///
 /// See the [crate-level documentation](crate) for the modelling concepts
@@ -609,6 +617,76 @@ impl LqnModel {
         Ok(())
     }
 
+    /// The model's [`StructureKey`]: everything the solver reads, which
+    /// is everything but the names.  Two models with equal keys
+    /// therefore solve to bit-identical [`Solution`](crate::Solution)s,
+    /// so a caller solving many models can solve each key once.
+    pub fn structure_key(&self) -> StructureKey {
+        // Every struct is destructured exhaustively: a field added later
+        // fails to compile here until the key covers it (or names it as
+        // unread by the solver, as the names are).
+        let LqnModel {
+            processors,
+            tasks,
+            entries,
+        } = self;
+        let multiplicity = |m: Multiplicity| match m {
+            Multiplicity::Finite(n) => u64::from(n),
+            Multiplicity::Infinite => u64::MAX,
+        };
+        let mut key = vec![processors.len() as u64];
+        for Processor {
+            name: _,
+            multiplicity: m,
+        } in processors
+        {
+            key.push(multiplicity(*m));
+        }
+        key.push(tasks.len() as u64);
+        for Task {
+            name: _,
+            processor,
+            multiplicity: m,
+            kind,
+        } in tasks
+        {
+            key.extend([u64::from(processor.0), multiplicity(*m)]);
+            match *kind {
+                TaskKind::Reference { think_time } => key.extend([0, think_time.to_bits()]),
+                TaskKind::Server => key.push(1),
+            }
+        }
+        key.push(entries.len() as u64);
+        for Entry {
+            name: _,
+            task,
+            host_demand,
+            second_phase_demand,
+            calls,
+        } in entries
+        {
+            key.extend([
+                u64::from(task.0),
+                host_demand.to_bits(),
+                second_phase_demand.to_bits(),
+                calls.len() as u64,
+            ]);
+            for &Call {
+                target,
+                mean_calls,
+                phase,
+            } in calls
+            {
+                let phase = match phase {
+                    Phase::One => 1,
+                    Phase::Two => 2,
+                };
+                key.extend([u64::from(target.0), mean_calls.to_bits(), phase]);
+            }
+        }
+        StructureKey(key)
+    }
+
     fn first_task_on_cycle(&self) -> TaskId {
         // A task with nonzero in-degree remaining after Kahn is on or
         // downstream of a cycle; report the smallest id among those not
@@ -785,6 +863,71 @@ mod tests {
         let (m, users, cycle, _) = two_layer();
         let es: Vec<_> = m.entries_of(users).collect();
         assert_eq!(es, vec![cycle]);
+    }
+
+    /// A model touching every field the key covers: an infinite
+    /// processor, a reference task with think time, multi-threaded
+    /// servers, a second phase and a phase-2 call.
+    fn rich(names: [&str; 9]) -> LqnModel {
+        let mut m = LqnModel::new();
+        let pc = m.add_processor(names[0], Multiplicity::Infinite);
+        let ps = m.add_processor(names[1], Multiplicity::Finite(2));
+        let users = m.add_reference_task(names[2], pc, 7, 1.5);
+        let app = m.add_task(names[3], ps, Multiplicity::Finite(3));
+        let db = m.add_task(names[4], ps, Multiplicity::Finite(1));
+        let cycle = m.add_entry(names[5], users, 0.05);
+        let serve = m.add_entry(names[6], app, 0.2);
+        let read = m.add_entry(names[7], db, 0.1);
+        let log = m.add_entry(names[8], db, 0.03);
+        m.set_second_phase_demand(serve, 0.07);
+        m.add_call(cycle, serve, 1.0).unwrap();
+        m.add_call(serve, read, 2.5).unwrap();
+        m.add_call_in_phase(serve, log, 1.0, Phase::Two).unwrap();
+        m
+    }
+
+    const NAMES: [&str; 9] = [
+        "pc", "ps", "users", "app", "db", "cycle", "serve", "read", "log",
+    ];
+
+    #[test]
+    fn renaming_keeps_the_structure_key_and_the_solution() {
+        let m = rich(NAMES);
+        let renamed = rich(["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
+        assert_eq!(m.structure_key(), renamed.structure_key());
+        let (a, b) = (crate::solve(&m).unwrap(), crate::solve(&renamed).unwrap());
+        assert_eq!(a, b, "the solver never reads a name");
+    }
+
+    #[test]
+    fn every_numeric_field_changes_the_structure_key() {
+        let base = rich(NAMES);
+        let mutations: [fn(&mut LqnModel); 13] = [
+            |m| m.processors[1].multiplicity = Multiplicity::Finite(3),
+            |m| m.processors[0].multiplicity = Multiplicity::Finite(1),
+            |m| m.tasks[1].processor = ProcessorId(0),
+            |m| m.tasks[1].multiplicity = Multiplicity::Infinite,
+            |m| m.tasks[0].kind = TaskKind::Reference { think_time: 1.25 },
+            |m| m.tasks[2].kind = TaskKind::Reference { think_time: 0.0 },
+            |m| m.entries[3].task = TaskId(1),
+            |m| m.entries[1].host_demand = 0.25,
+            |m| m.entries[1].second_phase_demand = 0.0,
+            |m| m.entries[1].calls[0].target = EntryId(3),
+            |m| m.entries[1].calls[0].mean_calls = 2.0,
+            |m| m.entries[1].calls[1].phase = Phase::One,
+            |m| m.entries[0].calls.clear(),
+        ];
+        for (i, mutate) in mutations.iter().enumerate() {
+            let mut m = base.clone();
+            mutate(&mut m);
+            assert_ne!(m.structure_key(), base.structure_key(), "mutation #{i}");
+        }
+        // Floats are compared by bit pattern: a signed zero is a change.
+        let mut m = base.clone();
+        m.entries[1].second_phase_demand = -0.0;
+        let mut zero = base.clone();
+        zero.entries[1].second_phase_demand = 0.0;
+        assert_ne!(m.structure_key(), zero.structure_key());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::model::{EntryId, LqnModel, Multiplicity, ProcessorId, TaskId};
 ///
 /// All vectors are indexed by the raw index of the corresponding id; use
 /// the accessor methods instead of poking at fields.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     pub(crate) entry_throughput: Vec<f64>,
     pub(crate) entry_reply: Vec<f64>,

@@ -5,6 +5,12 @@
 //! and knowledge table are rebuilt cheaply instead.  Capacity is
 //! byte-approximate: a diagram's cost is dominated by its decision
 //! nodes and configuration table, both of which the artifact reports.
+//!
+//! A key whose build was refused for its node cap holds that verdict
+//! instead: the build is deterministic, so a later request with the
+//! same or a tighter cap skips it (see
+//! `BudgetGuard::with_refused_node_cap`), and each model's refused
+//! diagram is built once per process.
 
 use fmperf_core::CompiledMtbdd;
 use fmperf_ftlqn::KnowPolicy;
@@ -45,8 +51,23 @@ pub fn approx_artifact_bytes(compiled: &CompiledMtbdd) -> usize {
         + compiled.baseline_up().len() * 8
 }
 
+/// Byte charge of a remembered refusal: its key and map slot.
+const REFUSAL_BYTES: usize = 128;
+
+/// What the cache holds for a key.
+#[derive(Debug, Clone)]
+pub(crate) enum Cached {
+    /// The compiled diagram.
+    Diagram(Arc<CompiledMtbdd>),
+    /// The MTBDD build was refused for its node cap.
+    Refused {
+        /// The largest node cap a build of this key was refused under.
+        max_nodes: usize,
+    },
+}
+
 struct Entry {
-    artifact: Arc<CompiledMtbdd>,
+    artifact: Cached,
     bytes: usize,
     last_used: u64,
     inserted: Instant,
@@ -64,6 +85,9 @@ pub struct CacheEntryInfo {
     pub age_seconds: u64,
     /// LRU tick of the last lookup or insert that touched the entry.
     pub last_used: u64,
+    /// For a remembered refusal, the node cap it was refused under;
+    /// `None` for a compiled diagram.
+    pub refused_node_cap: Option<usize>,
 }
 
 struct CacheState {
@@ -106,9 +130,10 @@ impl ArtifactCache {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks an artifact up, counting a hit or miss and refreshing its
-    /// LRU position.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CompiledMtbdd>> {
+    /// Looks a key up, refreshing its LRU position.  Only a compiled
+    /// diagram counts as a hit: a remembered refusal answers nothing,
+    /// so it counts as a miss, like an absent key.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Cached> {
         if self.capacity_bytes == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -116,28 +141,61 @@ impl ArtifactCache {
         let mut state = self.lock();
         state.tick += 1;
         let tick = state.tick;
-        match state.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.artifact))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let found = state.map.get_mut(key).map(|entry| {
+            entry.last_used = tick;
+            entry.artifact.clone()
+        });
+        let counter = match found {
+            Some(Cached::Diagram(_)) => &self.hits,
+            _ => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Looks a compiled diagram up, counting a hit or miss and
+    /// refreshing its LRU position.  A remembered refusal answers
+    /// `None` and counts as a miss.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<CompiledMtbdd>> {
+        match self.lookup(key)? {
+            Cached::Diagram(artifact) => Some(artifact),
+            Cached::Refused { .. } => None,
         }
     }
 
-    /// Inserts an artifact, evicting least-recently-used entries until
-    /// the cache fits its capacity.  An artifact larger than the whole
-    /// cache is simply not retained.
+    /// Inserts an artifact, replacing whatever the key held (a refusal
+    /// under a tighter cap included) and evicting least-recently-used
+    /// entries until the cache fits its capacity.  An artifact larger
+    /// than the whole cache is simply not retained.
     pub fn insert(&self, key: CacheKey, artifact: Arc<CompiledMtbdd>) {
         let bytes = approx_artifact_bytes(&artifact);
+        let mut state = self.lock();
+        self.store(&mut state, key, Cached::Diagram(artifact), bytes);
+    }
+
+    /// Remembers that building `key`'s diagram was refused under node
+    /// cap `max_nodes`, keeping the largest such cap.  A key that holds
+    /// a compiled diagram keeps it.
+    pub(crate) fn insert_refusal(&self, key: CacheKey, max_nodes: usize) {
+        let mut state = self.lock();
+        let max_nodes = match state.map.get(&key).map(|e| &e.artifact) {
+            Some(Cached::Diagram(_)) => return,
+            Some(Cached::Refused { max_nodes: held }) => max_nodes.max(*held),
+            None => max_nodes,
+        };
+        self.store(
+            &mut state,
+            key,
+            Cached::Refused { max_nodes },
+            REFUSAL_BYTES,
+        );
+    }
+
+    /// Puts `artifact` under `key` at the head of the LRU.
+    fn store(&self, state: &mut CacheState, key: CacheKey, artifact: Cached, bytes: usize) {
         if bytes > self.capacity_bytes {
             return;
         }
-        let mut state = self.lock();
         state.tick += 1;
         let tick = state.tick;
         if let Some(old) = state.map.remove(&key) {
@@ -216,6 +274,10 @@ impl ArtifactCache {
                 bytes: e.bytes,
                 age_seconds: e.inserted.elapsed().as_secs(),
                 last_used: e.last_used,
+                refused_node_cap: match e.artifact {
+                    Cached::Diagram(_) => None,
+                    Cached::Refused { max_nodes } => Some(max_nodes),
+                },
             })
             .collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.last_used));
@@ -308,6 +370,31 @@ mod tests {
             assert!(e.key.hash.starts_with("sha256:"));
         }
         assert_eq!(cache.capacity_bytes(), one * 2 + 1);
+    }
+
+    #[test]
+    fn refusals_keep_the_largest_cap_until_a_diagram_replaces_them() {
+        let cache = ArtifactCache::new(1 << 20);
+        cache.insert_refusal(key(1), 64);
+        cache.insert_refusal(key(1), 16);
+        assert!(matches!(
+            cache.lookup(&key(1)),
+            Some(Cached::Refused { max_nodes: 64 })
+        ));
+        assert!(cache.get(&key(1)).is_none(), "a refusal answers nothing");
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        let entries = cache.entries();
+        assert_eq!(entries[0].refused_node_cap, Some(64));
+        assert_eq!(entries[0].bytes, REFUSAL_BYTES);
+        assert_eq!(cache.bytes(), REFUSAL_BYTES);
+
+        // A roomier cap compiled: the diagram replaces the refusal, and
+        // a late refusal never shadows it.
+        cache.insert(key(1), artifact());
+        cache.insert_refusal(key(1), 1 << 30);
+        assert!(cache.get(&key(1)).is_some());
+        assert_eq!(cache.entries()[0].refused_node_cap, None);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -821,13 +821,16 @@ fn debug_cache(shared: &Shared, id: u64) -> Response {
         .map(|e| {
             format!(
                 "{{\"hash\": \"{}\", \"policy\": \"{}\", \"unmonitored_known\": {}, \
-                 \"bytes\": {}, \"age_seconds\": {}, \"last_used\": {}}}",
+                 \"bytes\": {}, \"age_seconds\": {}, \"last_used\": {}, \
+                 \"refused_node_cap\": {}}}",
                 json_escape(&e.key.hash),
                 if e.key.policy_any { "any" } else { "all" },
                 e.key.unmonitored_known,
                 e.bytes,
                 e.age_seconds,
-                e.last_used
+                e.last_used,
+                e.refused_node_cap
+                    .map_or("null".to_string(), |cap| cap.to_string())
             )
         })
         .collect();
@@ -990,14 +993,16 @@ fn analyze_endpoint(
         Err(r) => return r,
     };
     let key = CacheKey::new(session.hash(), params.policy, params.unmonitored_known);
-    let cached = shared.cache.get(&key);
-    let outcome = match analyze_model(session.model(), &params, cached, Some(recorder)) {
+    let outcome = match analyze_model(
+        session.model(),
+        &params,
+        &shared.cache,
+        &key,
+        Some(recorder),
+    ) {
         Ok(o) => o,
         Err(e) => return error_response(422, "Unprocessable Entity", "analyze", &e, &[], rec.id),
     };
-    if let Some(compiled) = &outcome.compiled {
-        shared.cache.insert(key, Arc::clone(compiled));
-    }
     if outcome.estimate.is_some() {
         shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
     }
@@ -1125,14 +1130,16 @@ fn sweep_endpoint(
         analyze,
     };
     let key = CacheKey::new(session.hash(), analyze.policy, analyze.unmonitored_known);
-    let cached = shared.cache.get(&key);
-    let outcome = match sweep_model(session.model(), &params, cached, Some(recorder)) {
+    let outcome = match sweep_model(
+        session.model(),
+        &params,
+        &shared.cache,
+        &key,
+        Some(recorder),
+    ) {
         Ok(o) => o,
         Err(e) => return error_response(422, "Unprocessable Entity", "sweep", &e, &[], rec.id),
     };
-    if let Some(compiled) = &outcome.compiled {
-        shared.cache.insert(key, Arc::clone(compiled));
-    }
     rec.engine = Some("mtbdd".into());
     rec.cache = Some(outcome.cache.name());
     rec.timings.compile_ns = outcome.compile_ns;

@@ -1,6 +1,6 @@
 //! The request-level analysis drivers: budgeted analyze / sweep /
 //! campaign over a [`ModelSession`](crate::session::ModelSession)'s
-//! parsed model, with an optional cached [`CompiledMtbdd`] artifact.
+//! parsed model, reading and filling the [`ArtifactCache`].
 //!
 //! The daemon's cold path is one run of the guarded ladder
 //! ([`Analysis::analyze_guarded`]) under the request's budget, the same
@@ -12,14 +12,21 @@
 //! exact scan and ends in a sampling rung that never fails and always
 //! carries a batch-means confidence interval.
 //!
+//! A node-cap refusal is cached too, so a later request on the key with
+//! the same or a tighter cap lists the refusal without building the
+//! diagram again; a roomier cap retries.  Other
+//! refusals (the deadline, the state cap, the component limits) depend
+//! on the request or are checked before the build, and are not kept.
+//!
 //! Campaigns compile a diagram of their own, with every injection point
 //! kept as a variable (see [`fmperf_core::campaign`]), so they neither
 //! read nor fill the cache.
 
+use crate::cache::{ArtifactCache, CacheKey, Cached};
 use fmperf_core::{
-    run_campaign_observed, solve_configurations, sweep, Analysis, AnalysisBudget, AnalysisReport,
-    BudgetGuard, CampaignOptions, CompiledMtbdd, EngineKind, EstimateInfo, GuardedOptions,
-    RewardSpec, SweepSpec,
+    run_campaign_observed, solve_configurations, sweep, Analysis, AnalysisBudget, AnalysisError,
+    AnalysisReport, BudgetGuard, CampaignOptions, CompiledMtbdd, EngineKind, EstimateInfo,
+    GuardedOptions, RewardSpec, SweepSpec,
 };
 use fmperf_ftlqn::{FaultGraph, KnowPolicy};
 use fmperf_mama::{ComponentSpace, KnowTable};
@@ -110,12 +117,9 @@ pub struct AnalyzeOutcome {
     pub reward_error: Option<String>,
     /// Cache disposition of this request.
     pub cache: CacheStatus,
-    /// A freshly compiled artifact for the cache (set on a cold request
-    /// whose MTBDD compile fit the budget).
-    pub compiled: Option<Arc<CompiledMtbdd>>,
     /// Wall-clock nanoseconds spent compiling (successful *or* refused
     /// — a refused compile still charged the request deadline); zero on
-    /// a cache hit.
+    /// a cache hit and on a refusal the cache remembered.
     pub compile_ns: u64,
     /// Wall-clock nanoseconds spent evaluating: diagram pass or ladder
     /// descent, configuration ranking and the reward solve.
@@ -164,8 +168,33 @@ fn reward_spec(m: &ParsedModel) -> Option<RewardSpec> {
     Some(spec)
 }
 
-/// Runs one analyze request: evaluate `cached` when present, otherwise
-/// run the guarded ladder under the request budget.
+/// Files what a fresh MTBDD build learned under `key`: the diagram it
+/// compiled, or the node cap it was refused under.
+fn remember(
+    cache: &ArtifactCache,
+    key: &CacheKey,
+    build: Result<&Arc<CompiledMtbdd>, &AnalysisError>,
+) {
+    match build {
+        Ok(compiled) => cache.insert(key.clone(), Arc::clone(compiled)),
+        Err(AnalysisError::NodeCapExceeded { max_nodes }) => {
+            cache.insert_refusal(key.clone(), *max_nodes);
+        }
+        Err(_) => {}
+    }
+}
+
+/// The node cap a cache lookup remembered a refusal under.
+fn refused_node_cap(cached: &Option<Cached>) -> Option<usize> {
+    match cached {
+        Some(Cached::Refused { max_nodes }) => Some(*max_nodes),
+        _ => None,
+    }
+}
+
+/// Runs one analyze request: evaluate the diagram `cache` holds for
+/// `key`, otherwise run the guarded ladder under the request budget and
+/// file its MTBDD rung's outcome under `key`.
 ///
 /// # Errors
 ///
@@ -174,34 +203,45 @@ fn reward_spec(m: &ParsedModel) -> Option<RewardSpec> {
 pub fn analyze_model(
     m: &ParsedModel,
     params: &AnalyzeParams,
-    cached: Option<Arc<CompiledMtbdd>>,
+    cache: &ArtifactCache,
+    key: &CacheKey,
     recorder: Option<&dyn Recorder>,
 ) -> Result<AnalyzeOutcome, String> {
     with_stack(m, params, recorder, |analysis, space| {
         let start = Instant::now();
-        let cache = if cached.is_some() {
-            CacheStatus::Hit
-        } else {
-            CacheStatus::Miss
-        };
-        let report = match cached {
+        let cached = cache.lookup(key);
+        let (report, cache_status) = match cached {
             // A hit evaluates the cached diagram: nothing is compiled,
             // and nothing new goes back to the cache.
-            Some(compiled) => AnalysisReport {
-                distribution: compiled.distribution(),
-                engine: EngineKind::Mtbdd,
-                descents: Vec::new(),
-                estimate: None,
-                compiled: None,
-                compile_time: Duration::ZERO,
-            },
-            None => analysis.analyze_guarded(&GuardedOptions {
-                budget: params.budget,
-                samples: params.samples,
-                seed: params.seed,
-                threads: params.threads,
-                ..GuardedOptions::default()
-            }),
+            Some(Cached::Diagram(compiled)) => (
+                AnalysisReport {
+                    distribution: compiled.distribution(),
+                    engine: EngineKind::Mtbdd,
+                    descents: Vec::new(),
+                    estimate: None,
+                    compiled: None,
+                    compile_time: Duration::ZERO,
+                },
+                CacheStatus::Hit,
+            ),
+            known => {
+                let report = analysis.analyze_guarded(&GuardedOptions {
+                    budget: params.budget,
+                    samples: params.samples,
+                    seed: params.seed,
+                    threads: params.threads,
+                    refused_node_cap: refused_node_cap(&known),
+                    ..GuardedOptions::default()
+                });
+                // The MTBDD rung runs first: it either compiled or is
+                // the first descent.
+                match (&report.compiled, report.descents.first()) {
+                    (Some(compiled), _) => remember(cache, key, Ok(compiled)),
+                    (None, Some(d)) => remember(cache, key, Err(&d.reason)),
+                    (None, None) => {}
+                }
+                (report, CacheStatus::Miss)
+            }
         };
         let dist = &report.distribution;
         let compile_ns = report.compile_time.as_nanos() as u64;
@@ -244,8 +284,7 @@ pub fn analyze_model(
             configurations,
             reward,
             reward_error,
-            cache,
-            compiled: report.compiled,
+            cache: cache_status,
             compile_ns,
             eval_ns: (start.elapsed().as_nanos() as u64).saturating_sub(compile_ns),
         }
@@ -276,25 +315,25 @@ pub struct SweepOutcome {
     pub points: Vec<(f64, f64)>,
     /// Cache disposition of this request.
     pub cache: CacheStatus,
-    /// A freshly compiled artifact for the cache.
-    pub compiled: Option<Arc<CompiledMtbdd>>,
     /// Wall-clock nanoseconds spent compiling; zero on a cache hit.
     pub compile_ns: u64,
     /// Wall-clock nanoseconds spent evaluating the sweep points.
     pub eval_ns: u64,
 }
 
-/// Runs one sweep request over the cached (or freshly compiled)
-/// diagram.
+/// Runs one sweep request over the diagram `cache` holds for `key`, or
+/// over one compiled (and filed under `key`) for this request.
 ///
 /// # Errors
 ///
-/// Unknown component names, bad bounds and budget-refused compiles are
-/// all request errors — a sweep has no sampling rung to degrade to.
+/// Unknown component names, bad bounds and budget-refused compiles
+/// (remembered ones included) are all request errors — a sweep has no
+/// sampling rung to degrade to.
 pub fn sweep_model(
     m: &ParsedModel,
     params: &SweepParams,
-    cached: Option<Arc<CompiledMtbdd>>,
+    cache: &ArtifactCache,
+    key: &CacheKey,
     recorder: Option<&dyn Recorder>,
 ) -> Result<SweepOutcome, String> {
     with_stack(m, &params.analyze, recorder, |analysis, space| {
@@ -302,19 +341,18 @@ pub fn sweep_model(
             .find(|&ix| space.name(ix) == params.component)
             .ok_or_else(|| format!("unknown component `{}`", params.component))?;
         let compile_start = Instant::now();
-        let (compiled, cache, fresh) = match cached {
-            Some(c) => (c, CacheStatus::Hit, None),
-            None => {
-                let guard = BudgetGuard::new(&params.analyze.budget);
-                let c = Arc::new(
-                    analysis
-                        .try_compile_mtbdd_guarded(&guard)
-                        .map_err(|e| format!("compile refused the budget: {e}"))?,
-                );
-                (Arc::clone(&c), CacheStatus::Miss, Some(c))
+        let (compiled, cache_status) = match cache.lookup(key) {
+            Some(Cached::Diagram(c)) => (c, CacheStatus::Hit),
+            known => {
+                let guard = BudgetGuard::new(&params.analyze.budget)
+                    .with_refused_node_cap(refused_node_cap(&known));
+                let build = analysis.try_compile_mtbdd_guarded(&guard).map(Arc::new);
+                remember(cache, key, build.as_ref());
+                let compiled = build.map_err(|e| format!("compile refused the budget: {e}"))?;
+                (compiled, CacheStatus::Miss)
             }
         };
-        let compile_ns = match cache {
+        let compile_ns = match cache_status {
             CacheStatus::Hit => 0,
             _ => compile_start.elapsed().as_nanos() as u64,
         };
@@ -342,8 +380,7 @@ pub fn sweep_model(
                 .iter()
                 .map(|pt| (pt.availability, failed_of(&pt.probabilities)))
                 .collect(),
-            cache,
-            compiled: fresh,
+            cache: cache_status,
             compile_ns,
             eval_ns: eval_start.elapsed().as_nanos() as u64,
         })
@@ -447,6 +484,7 @@ pub fn campaign_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmperf_obs::{Counter, MetricsRecorder};
     use fmperf_text::parse;
 
     const MODEL: &str = "processor pc cores inf\nprocessor p1 fail 0.1\n\
@@ -459,13 +497,23 @@ mod tests {
         mgmtproc pm fail 0.05\nmanager mgr on pm fail 0.05\n\
         watch alive s -> mgr\nwatch alive p1 -> mgr\nreward u 1.0\n";
 
+    fn key() -> CacheKey {
+        CacheKey::new("sha256:test", KnowPolicy::AnyFailedComponent, false)
+    }
+
+    /// An analyze that sees no cache and fills none.
+    fn cold(m: &ParsedModel, params: &AnalyzeParams) -> AnalyzeOutcome {
+        analyze_model(m, params, &ArtifactCache::new(0), &key(), None).unwrap()
+    }
+
     #[test]
-    fn cold_analyze_compiles_and_returns_artifact() {
+    fn cold_analyze_compiles_and_caches_the_artifact() {
         let m = parse(MODEL).unwrap();
-        let out = analyze_model(&m, &AnalyzeParams::default(), None, None).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        let out = analyze_model(&m, &AnalyzeParams::default(), &cache, &key(), None).unwrap();
         assert_eq!(out.engine, "mtbdd");
         assert_eq!(out.cache, CacheStatus::Miss);
-        assert!(out.compiled.is_some());
+        assert!(cache.get(&key()).is_some());
         assert!(out.reward.is_some());
         assert!((0.0..=1.0).contains(&out.failed));
         assert!(out.compile_ns > 0, "cold request attributes compile time");
@@ -475,11 +523,12 @@ mod tests {
     #[test]
     fn cache_hit_matches_cold_result() {
         let m = parse(MANAGED).unwrap();
-        let cold = analyze_model(&m, &AnalyzeParams::default(), None, None).unwrap();
-        let artifact = cold.compiled.clone().unwrap();
-        let hit = analyze_model(&m, &AnalyzeParams::default(), Some(artifact), None).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        let params = AnalyzeParams::default();
+        let cold = analyze_model(&m, &params, &cache, &key(), None).unwrap();
+        let hit = analyze_model(&m, &params, &cache, &key(), None).unwrap();
+        assert_eq!(cold.cache, CacheStatus::Miss);
         assert_eq!(hit.cache, CacheStatus::Hit);
-        assert!(hit.compiled.is_none());
         assert!((hit.failed - cold.failed).abs() < 1e-12);
         assert_eq!(hit.configurations.len(), cold.configurations.len());
         assert_eq!(hit.compile_ns, 0, "a cache hit spends nothing compiling");
@@ -497,7 +546,8 @@ mod tests {
         params.budget.max_mtbdd_nodes = 1;
         params.budget.max_memo_entries = 1;
         params.budget.deadline = Some(Duration::from_millis(50));
-        let out = analyze_model(&m, &params, None, None).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        let out = analyze_model(&m, &params, &cache, &key(), None).unwrap();
         assert!(
             out.engine == "monte-carlo" || out.engine == "importance-sampling",
             "engine {}",
@@ -506,7 +556,7 @@ mod tests {
         let est = out.estimate.expect("degraded result carries a CI");
         assert!(est.failed_half_width.is_finite());
         assert!(!out.descents.is_empty());
-        assert!(out.compiled.is_none(), "degraded results are not cached");
+        assert!(cache.is_empty(), "state-cap refusals are not remembered");
         assert!(
             out.compile_ns > 0,
             "a refused compile still charged the deadline and is attributed"
@@ -522,10 +572,9 @@ mod tests {
         let m = parse(MANAGED).unwrap();
         let mut params = AnalyzeParams::default();
         params.budget.max_mtbdd_nodes = 1;
-        let out = analyze_model(&m, &params, None, None).unwrap();
+        let out = cold(&m, &params);
         assert_eq!(out.engine, "exact-enumeration");
         assert!(out.estimate.is_none());
-        assert!(out.compiled.is_none(), "nothing compiled to cache");
         let engines: Vec<&str> = out.descents.iter().map(|(e, _)| e.as_str()).collect();
         assert_eq!(engines, ["mtbdd"], "the refused compile is the one descent");
         assert!(out.compile_ns > 0, "the refused compile is attributed");
@@ -547,7 +596,8 @@ mod tests {
             // No deadline trips: every descent reason and the sampled
             // estimate are then fixed by the budget, seed and samples.
             params.budget.deadline = None;
-            let cold = analyze_model(&m, &params, None, None).unwrap();
+            let cache = ArtifactCache::new(1 << 20);
+            let cold = analyze_model(&m, &params, &cache, &key(), None).unwrap();
             let direct = with_stack(&m, &params, None, |analysis, _| {
                 analysis.analyze_guarded(&GuardedOptions {
                     budget: params.budget,
@@ -576,9 +626,9 @@ mod tests {
             assert_eq!(cold.configurations, ranked, "{}", cold.engine);
             assert_eq!(cold.failed, direct.distribution.failed_probability());
             assert_eq!(cold.states, direct.distribution.states_explored());
-            assert_eq!(cold.compiled.is_some(), direct.compiled.is_some());
-            if let Some(diagram) = cold.compiled.clone() {
-                let hit = analyze_model(&m, &params, Some(diagram), None).unwrap();
+            assert_eq!(cache.get(&key()).is_some(), direct.compiled.is_some());
+            if direct.compiled.is_some() {
+                let hit = analyze_model(&m, &params, &cache, &key(), None).unwrap();
                 assert_eq!(hit.cache, CacheStatus::Hit);
                 assert_eq!(hit.engine, cold.engine);
                 assert!(hit.descents.is_empty() && hit.estimate.is_none());
@@ -595,7 +645,8 @@ mod tests {
     #[test]
     fn sweep_hits_cache() {
         let m = parse(MANAGED).unwrap();
-        let cold = analyze_model(&m, &AnalyzeParams::default(), None, None).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        analyze_model(&m, &AnalyzeParams::default(), &cache, &key(), None).unwrap();
         let params = SweepParams {
             component: "p1".into(),
             from: 0.5,
@@ -603,7 +654,7 @@ mod tests {
             steps: 5,
             analyze: AnalyzeParams::default(),
         };
-        let out = sweep_model(&m, &params, cold.compiled.clone(), None).unwrap();
+        let out = sweep_model(&m, &params, &cache, &key(), None).unwrap();
         assert_eq!(out.cache, CacheStatus::Hit);
         assert_eq!(out.points.len(), 5);
         // Failure probability decreases as availability rises.
@@ -620,8 +671,117 @@ mod tests {
             steps: 3,
             analyze: AnalyzeParams::default(),
         };
-        let err = sweep_model(&m, &params, None, None).unwrap_err();
+        let err = sweep_model(&m, &params, &ArtifactCache::new(0), &key(), None).unwrap_err();
         assert!(err.contains("unknown component"), "{err}");
+    }
+
+    /// The ladder on `MANAGED` with the deadline lifted, so each refusal
+    /// reason is fixed by the budget alone.
+    fn undated(max_mtbdd_nodes: usize) -> AnalyzeParams {
+        let mut params = AnalyzeParams::default();
+        params.budget.deadline = None;
+        params.budget.max_mtbdd_nodes = max_mtbdd_nodes;
+        params
+    }
+
+    #[test]
+    fn a_node_cap_refusal_is_built_once_and_then_remembered() {
+        let m = parse(MANAGED).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        let tight = undated(1);
+        let first = analyze_model(&m, &tight, &cache, &key(), None).unwrap();
+        assert_eq!(first.engine, "exact-enumeration");
+        assert!(first.compile_ns > 0, "the first refusal is built");
+        assert_eq!(cache.entries()[0].refused_node_cap, Some(1));
+
+        // Same cap: the same descents and answer, nothing compiled, and
+        // the response still reads as a miss.
+        let again = analyze_model(&m, &tight, &cache, &key(), None).unwrap();
+        assert_eq!(again.compile_ns, 0, "a remembered refusal builds nothing");
+        assert_eq!(again.cache, CacheStatus::Miss);
+        assert_eq!(again.descents, first.descents);
+        assert_eq!(
+            (again.engine.as_str(), again.failed, again.states),
+            (first.engine.as_str(), first.failed, first.states)
+        );
+        assert_eq!(again.configurations, first.configurations);
+        assert_eq!(again.reward, first.reward);
+
+        // A tighter cap fits under the remembered one and renders its
+        // own cap; a state cap is still checked first and reported.
+        let zero = analyze_model(&m, &undated(0), &cache, &key(), None).unwrap();
+        assert_eq!(zero.compile_ns, 0);
+        assert_eq!(
+            zero.descents[0].1,
+            AnalysisError::NodeCapExceeded { max_nodes: 0 }.to_string()
+        );
+        let mut starved = undated(1);
+        starved.budget.max_states = 1;
+        starved.samples = 2_000;
+        let starved = analyze_model(&m, &starved, &cache, &key(), None).unwrap();
+        assert!(
+            starved.descents[0].1.contains("exceed the budget of 1"),
+            "{:?}",
+            starved.descents
+        );
+
+        // A roomier cap retries, compiles and replaces the refusal; the
+        // next request hits.
+        let roomy = analyze_model(&m, &undated(1 << 20), &cache, &key(), None).unwrap();
+        assert_eq!(roomy.engine, "mtbdd");
+        assert!(roomy.compile_ns > 0);
+        assert_eq!(cache.entries()[0].refused_node_cap, None);
+        let hit = analyze_model(&m, &tight, &cache, &key(), None).unwrap();
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_deadline_refusal_is_not_remembered() {
+        let m = parse(MANAGED).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        let mut params = AnalyzeParams {
+            samples: 2_000,
+            ..AnalyzeParams::default()
+        };
+        params.budget.deadline = Some(Duration::ZERO);
+        let out = analyze_model(&m, &params, &cache, &key(), None).unwrap();
+        assert!(
+            out.descents[0].1.starts_with("deadline expired"),
+            "{:?}",
+            out.descents
+        );
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_sweep_on_a_remembered_refusal_answers_without_building() {
+        let m = parse(MANAGED).unwrap();
+        let cache = ArtifactCache::new(1 << 20);
+        let params = SweepParams {
+            component: "p1".into(),
+            from: 0.5,
+            to: 1.0,
+            steps: 3,
+            analyze: undated(1),
+        };
+        // Each build cube polls the budget; a skipped build polls none.
+        let sweep = || {
+            let rec = MetricsRecorder::new();
+            let err = sweep_model(&m, &params, &cache, &key(), Some(&rec)).unwrap_err();
+            (err, rec.counter(Counter::BudgetPolls))
+        };
+        let (first, built) = sweep();
+        assert!(built > 0);
+        assert_eq!(
+            cache.entries()[0].refused_node_cap,
+            Some(1),
+            "sweeps file refusals too"
+        );
+        let (again, polls) = sweep();
+        assert_eq!(again, first);
+        assert!(again.contains("node budget of 1"), "{again}");
+        assert_eq!(polls, 0, "nothing was built");
     }
 
     #[test]

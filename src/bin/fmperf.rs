@@ -1308,6 +1308,7 @@ fn analyze(
                 threads: opts.threads,
                 is_bias: opts.is_bias,
                 is_mixture: opts.is_mixture,
+                ..GuardedOptions::default()
             });
             produced = Some(report.engine.name());
             descents = report
